@@ -45,6 +45,11 @@ fn bench_node_tick(c: &mut Criterion) {
     c.bench_function("server_node_interval", |b| {
         b.iter(|| black_box(node.run_interval(&w, Seconds::from_millis(100.0))));
     });
+    // The same node and workload through the shmoo's report-free probe.
+    let mut node = ServerNode::new(PartSpec::arm_microserver(), 7);
+    c.bench_function("server_node_probe", |b| {
+        b.iter(|| black_box(node.probe_interval(&w, Seconds::from_millis(100.0))));
+    });
 }
 
 fn bench_ga(c: &mut Criterion) {

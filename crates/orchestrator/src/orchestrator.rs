@@ -522,12 +522,13 @@ pub fn run_with_telemetry(
         tel.add("wake_transitions", power.wakes);
         tel.add("consolidation_migrations", power.consolidation_migrations);
     }
-    debug_assert_eq!(
+    // Checked in release builds too: once per run, so free in any timing.
+    assert_eq!(
         c.placed,
         c.completed + c.evicted + cluster.placements().len() as u64,
         "lifecycle accounting must tie out"
     );
-    debug_assert_eq!(
+    assert_eq!(
         c.offered,
         c.placed + c.abandoned,
         "admission accounting must tie out: every offer is placed or abandoned"

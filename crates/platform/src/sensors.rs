@@ -9,7 +9,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use uniserver_units::{Celsius, Volts, Watts};
 
-use uniserver_silicon::rng::normal;
+use uniserver_silicon::rng::{normal, skip_normal};
 
 /// A single point-in-time sensor sweep of the node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -132,6 +132,29 @@ impl SensorBlock {
         };
         SensorSnapshot { core_temps, package_power, core_voltages, dimm_temp }
     }
+
+    /// Consumes exactly the randomness [`SensorBlock::sample`] would for
+    /// these core powers, in the same order (per-core temperatures,
+    /// per-core voltages, package power, DIMM temperature), without
+    /// building the snapshot. Only the powers matter: the package-power
+    /// noise scales with their sum, so a zero-power package draws nothing
+    /// there, exactly as in `sample`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core_powers` is empty.
+    pub fn skip_sample<R: Rng + ?Sized>(&self, core_powers: &[Watts], rng: &mut R) {
+        assert!(!core_powers.is_empty(), "need at least one core");
+        let package_true: f64 = core_powers.iter().map(|p| p.as_watts()).sum();
+        for _ in core_powers {
+            skip_normal(rng, self.temp_noise);
+        }
+        for _ in core_powers {
+            skip_normal(rng, self.volt_noise_mv);
+        }
+        skip_normal(rng, package_true * self.power_noise_rel);
+        skip_normal(rng, self.temp_noise);
+    }
 }
 
 impl Default for SensorBlock {
@@ -202,6 +225,23 @@ mod tests {
         let edge = SensorBlock::edge_closet();
         assert!(edge.ambient > dc.ambient);
         assert!(edge.true_dimm_temp(Watts::new(30.0)) > dc.true_dimm_temp(Watts::new(30.0)));
+    }
+
+    #[test]
+    fn skip_sample_leaves_the_stream_where_sample_does() {
+        let powers = [Watts::new(3.0), Watts::new(0.4), Watts::new(7.5)];
+        let volts = [Volts::new(0.9); 3];
+        let noiseless = SensorBlock { power_noise_rel: 0.0, temp_noise: 0.0, ..SensorBlock::edge_closet() };
+        for s in [SensorBlock::server_room(), noiseless] {
+            let (mut a, mut b) = (rng(), rng());
+            let _ = s.sample(&powers, &volts, &mut a);
+            s.skip_sample(&powers, &mut b);
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+            // A zero-power package draws no power-meter noise in either.
+            let _ = s.sample(&[Watts::ZERO], &[Volts::new(0.9)], &mut a);
+            s.skip_sample(&[Watts::ZERO], &mut b);
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
     }
 
     #[test]

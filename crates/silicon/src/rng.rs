@@ -7,6 +7,13 @@
 
 use rand::Rng;
 
+/// Largest |z| a Box–Muller deviate from [`normal`] can take. The
+/// uniform draws carry 53 bits, so `u1 ≥ 2⁻⁵³` and
+/// `|z| ≤ √(−2 ln 2⁻⁵³) ≈ 8.572`; the constant rounds that up, so a
+/// `mean ± NORMAL_Z_BOUND·sigma` window holds every deviate the sampler
+/// can return.
+pub const NORMAL_Z_BOUND: f64 = 8.6;
+
 /// Samples a normal deviate `N(mean, sigma²)` via the Box–Muller
 /// transform.
 ///
@@ -25,15 +32,40 @@ use rand::Rng;
 /// assert_eq!(x, 10.0); // zero sigma is deterministic
 /// ```
 pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
+    match normal_draws(rng, sigma) {
+        Some((u1, u2)) => mean + sigma * box_muller(u1, u2),
+        None => mean,
+    }
+}
+
+/// Consumes exactly the randomness [`normal`] would for this `sigma`
+/// without computing the deviate — how a caller that will discard the
+/// value keeps its stream in lockstep with one that reads it.
+///
+/// # Panics
+///
+/// Panics if `sigma` is negative or non-finite.
+pub fn skip_normal<R: Rng + ?Sized>(rng: &mut R, sigma: f64) {
+    let _ = normal_draws(rng, sigma);
+}
+
+/// The draw half of [`normal`]: two uniforms when `sigma ≠ 0`, none
+/// when it is zero (the deviate is then the mean itself). `u1` lies in
+/// `(0, 1]` to avoid `ln(0)`.
+fn normal_draws<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> Option<(f64, f64)> {
     assert!(sigma.is_finite() && sigma >= 0.0, "sigma must be finite and non-negative, got {sigma}");
     if sigma == 0.0 {
-        return mean;
+        return None;
     }
-    // Box–Muller; u1 in (0,1] to avoid ln(0).
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
-    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    mean + sigma * z
+    Some((u1, u2))
+}
+
+/// The transform half of [`normal`]: a standard deviate from its two
+/// uniforms.
+fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Samples a normal deviate truncated to `[lo, hi]` by rejection (falls
@@ -307,6 +339,34 @@ mod tests {
         let n = 40_000;
         let mean = (0..n).map(|_| exponential(&mut r, 4.0)).sum::<f64>() / n as f64;
         assert!((mean - 4.0).abs() < 0.1, "mean {mean}");
+    }
+
+    #[test]
+    fn skip_normal_leaves_the_stream_where_normal_does() {
+        for sigma in [0.0, 1e-9, 2.0] {
+            let (mut a, mut b) = (rng(), rng());
+            for _ in 0..8 {
+                let _ = normal(&mut a, 5.0, sigma);
+                skip_normal(&mut b, sigma);
+            }
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "sigma {sigma}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn skip_normal_rejects_what_normal_rejects() {
+        skip_normal(&mut rng(), -1.0);
+    }
+
+    #[test]
+    fn z_bound_covers_the_most_extreme_box_muller_draw() {
+        // The smallest u1 the 53-bit uniform can produce, at the cosine's
+        // peak: no deviate is larger in magnitude.
+        let z_max = box_muller(f64::powi(2.0, -53), 0.0);
+        assert!((z_max - 8.5717).abs() < 1e-3, "z max {z_max}");
+        assert!(z_max < NORMAL_Z_BOUND);
+        assert!(box_muller(f64::powi(2.0, -53), 0.5).abs() < NORMAL_Z_BOUND);
     }
 
     #[test]

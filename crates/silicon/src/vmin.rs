@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use uniserver_units::Volts;
 
 use crate::math::sigmoid;
-use crate::rng::{normal, poisson};
+use crate::rng::{normal, poisson, skip_normal, NORMAL_Z_BOUND};
 
 /// Crash-point and cache-error model for one part type.
 ///
@@ -106,6 +106,26 @@ impl VminModel {
             + bank_weakness * 1000.0;
         let onset_mv = crash.as_millivolts() + window_mv;
         Volts::from_millivolts(onset_mv.max(0.0))
+    }
+
+    /// A ceiling on every onset [`VminModel::cache_onset_voltage`] can
+    /// return for this crash voltage and bank, in millivolts: the window
+    /// mean plus the sampler's largest deviate
+    /// ([`NORMAL_Z_BOUND`]·sigma) and a 1 µV guard against rounding. A
+    /// supply above it sees zero CEs whatever the draw.
+    #[must_use]
+    pub fn cache_onset_ceiling_mv(&self, crash: Volts, bank_weakness: f64) -> f64 {
+        crash.as_millivolts()
+            + self.cache_onset_above_crash_mv
+            + NORMAL_Z_BOUND * self.cache_onset_sigma_mv
+            + bank_weakness * 1000.0
+            + 1e-3
+    }
+
+    /// Consumes exactly the randomness [`VminModel::cache_onset_voltage`]
+    /// would, for a caller that already knows the onset cannot matter.
+    pub fn skip_cache_onset<R: Rng + ?Sized>(&self, rng: &mut R) {
+        skip_normal(rng, self.cache_onset_sigma_mv);
     }
 
     /// Number of cache corrected errors observed during one run at supply

@@ -16,6 +16,12 @@
 //!   ladder while the reported crash offset stays within one fine step
 //!   (statistically) of the single-pass methodology, which remains
 //!   available via [`ShmooCampaign::single_pass`].
+//!
+//!   Every dwell step runs through [`ServerNode::probe_interval`], the
+//!   report-free twin of `run_interval`: the ladder only needs to know
+//!   whether the step crashed and how many cache CEs it logged, and the
+//!   probe leaves the node's RNG, MCA banks and clock exactly where the
+//!   full interval would.
 //! * [`RefreshSweep`] reproduces §6.B: relax the refresh interval of a
 //!   DIMM step by step, run pattern tests, and record raw bit errors,
 //!   BER and the refresh power recovered.
@@ -32,7 +38,6 @@ use uniserver_platform::node::ServerNode;
 use uniserver_platform::part::PartSpec;
 use uniserver_platform::workload::WorkloadProfile;
 use uniserver_silicon::power::DramPowerModel;
-use uniserver_silicon::{ErrorSeverity, FaultKind};
 
 use crate::patterns::TestPattern;
 
@@ -245,6 +250,12 @@ impl ShmooCampaign {
     /// Returns the crash offset, or `None` when the ladder bails at
     /// `max_mv` without crashing. Cache-CE statistics accumulate into
     /// `ce` across passes.
+    ///
+    /// Each dwell step is a [`ServerNode::probe_interval`]: the ladder
+    /// reads only "crashed?" and the cache-CE count, so it skips the
+    /// sensor snapshot, PMU deltas and power report of a full
+    /// `run_interval`. The probe consumes the same draws and posts the
+    /// same MCA records, so results and node state are bit-identical.
     #[allow(clippy::too_many_arguments)]
     fn ladder(
         &self,
@@ -261,20 +272,15 @@ impl ShmooCampaign {
             node.msr
                 .set_voltage_offset(core, offset_mv)
                 .expect("campaign offsets stay within MSR limits");
-            let report = node.run_interval(workload, self.dwell);
-            let ces: u64 = report
-                .errors
-                .iter()
-                .filter(|e| e.kind == FaultKind::CacheBit && e.severity == ErrorSeverity::Corrected)
-                .count() as u64;
-            if ces > 0 {
-                ce.total += ces;
+            let probe = node.probe_interval(workload, self.dwell);
+            if probe.cache_ces > 0 {
+                ce.total += probe.cache_ces;
                 // The *shallowest* offset that ever exposed a CE defines
                 // the window start, across both passes.
                 ce.first_offset_mv =
                     Some(ce.first_offset_mv.map_or(offset_mv, |f: f64| f.min(offset_mv)));
             }
-            if report.crash.is_some() {
+            if probe.crashed {
                 return Some(offset_mv);
             }
             offset_mv += step;
