@@ -79,7 +79,7 @@
 //!   reproduces the legacy stdout byte-for-byte.
 //! * `--threads K` drives the deploy workers in both modes **and** the
 //!   cluster mode's sharded serving loop (`Cluster::tick_pooled`, one
-//!   persistent pool per run): per-node advancement runs on K workers
+//!   `ShardPool` per run): per-node advancement runs on K workers
 //!   (0 = one per core; clamped to the core count), every reduce stays
 //!   sequential in node-index order.
 //!

@@ -62,6 +62,39 @@ pub fn summary_to_json(s: &ClusterSummary, per_tick: bool) -> String {
         cw.field_u64("violations", c.violations);
         out.push_str(&cw.finish());
     });
+    outcome_objects(&mut w, s);
+    w.field_array("per_part", s.per_part.iter(), |part, out| {
+        let mut pw = JsonWriter::object();
+        pw.field_str("part", &part.part);
+        pw.field_u64("nodes", part.nodes as u64);
+        pw.field_u64("crashes", part.crashes);
+        pw.field_f64("min_offset_mv_mean", part.min_offset_mv_mean);
+        out.push_str(&pw.finish());
+    });
+    if per_tick {
+        w.field_array("per_tick", s.per_tick.iter(), |t, out| {
+            let mut tw = JsonWriter::object();
+            tw.field_u64("tick", t.tick);
+            tw.field_u64("offered", t.offered);
+            tw.field_u64("placed", t.placed);
+            tw.field_u64("completed", t.completed);
+            tw.field_u64("live", t.live);
+            tw.field_u64("crashes", t.crashes);
+            tw.field_u64("migrations", t.migrations);
+            tw.field_f64("energy_j", t.energy_j);
+            out.push_str(&tw.finish());
+        });
+    }
+    w.finish()
+}
+
+/// Writes the run's optional outcome objects — `chaos`, `power`, `gray`,
+/// in that fixed order — shared by [`summary_to_json`] and
+/// [`bench_record`]. Each rides along only when its scenario was active
+/// (lifecycle or fault plan, a power-managing policy, a gray or
+/// power-cap campaign), so legacy summaries and rows stay
+/// byte-identical.
+fn outcome_objects(w: &mut JsonWriter, s: &ClusterSummary) {
     if let Some(chaos) = &s.chaos {
         w.field_object("chaos", |o| {
             o.field_u64("injected_crashes", chaos.injected_crashes);
@@ -96,29 +129,6 @@ pub fn summary_to_json(s: &ClusterSummary, per_tick: bool) -> String {
             o.field_u64("powercap_sheds", gray.powercap_sheds);
         });
     }
-    w.field_array("per_part", s.per_part.iter(), |part, out| {
-        let mut pw = JsonWriter::object();
-        pw.field_str("part", &part.part);
-        pw.field_u64("nodes", part.nodes as u64);
-        pw.field_u64("crashes", part.crashes);
-        pw.field_f64("min_offset_mv_mean", part.min_offset_mv_mean);
-        out.push_str(&pw.finish());
-    });
-    if per_tick {
-        w.field_array("per_tick", s.per_tick.iter(), |t, out| {
-            let mut tw = JsonWriter::object();
-            tw.field_u64("tick", t.tick);
-            tw.field_u64("offered", t.offered);
-            tw.field_u64("placed", t.placed);
-            tw.field_u64("completed", t.completed);
-            tw.field_u64("live", t.live);
-            tw.field_u64("crashes", t.crashes);
-            tw.field_u64("migrations", t.migrations);
-            tw.field_f64("energy_j", t.energy_j);
-            out.push_str(&tw.finish());
-        });
-    }
-    w.finish()
 }
 
 /// Physical core count of the host, from `/proc/cpuinfo` — may exceed
@@ -174,46 +184,7 @@ pub fn bench_record(s: &ClusterSummary, t: &OrchestratorTiming, label: &str) -> 
         cw.field_u64("abandoned", c.abandoned);
         out.push_str(&cw.finish());
     });
-    // Chaos accounting rides along only when the run had the lifecycle
-    // or a fault plan active, so legacy rows stay byte-identical.
-    if let Some(chaos) = &s.chaos {
-        w.field_object("chaos", |o| {
-            o.field_u64("injected_crashes", chaos.injected_crashes);
-            o.field_u64("nodes_offlined", chaos.nodes_offlined);
-            o.field_u64("rejoins", chaos.rejoins);
-            o.field_u64("peak_offline", chaos.peak_offline);
-            o.field_f64("downtime_secs", chaos.downtime_secs);
-            o.field_f64("lost_capacity_node_hours", chaos.lost_capacity_node_hours);
-            o.field_f64("availability", chaos.availability);
-            o.field_u64("shed", chaos.shed);
-        });
-    }
-    // Power accounting rides along only when the run's policy manages
-    // node power (consolidation), same gating as the chaos object.
-    if let Some(power) = &s.power {
-        w.field_object("power", |o| {
-            o.field_u64("parks", power.parks);
-            o.field_u64("wakes", power.wakes);
-            o.field_u64("consolidation_migrations", power.consolidation_migrations);
-            o.field_f64("asleep_node_secs", power.asleep_node_secs);
-            o.field_u64("peak_asleep", power.peak_asleep);
-        });
-    }
-    // Gray-failure accounting rides along only when the plan carried a
-    // gray or power-cap campaign — same gating as the summary object.
-    if let Some(gray) = &s.gray {
-        w.field_object("gray", |o| {
-            o.field_u64("gray_onsets", gray.gray_onsets);
-            o.field_u64("probe_failures", gray.probe_failures);
-            o.field_u64("quarantines", gray.quarantines);
-            o.field_u64("readmissions", gray.readmissions);
-            o.field_f64("degraded_node_secs", gray.degraded_node_secs);
-            o.field_f64("degraded_node_hours", gray.degraded_node_hours);
-            o.field_u64("peak_degraded", gray.peak_degraded);
-            o.field_f64("powercap_deficit_watt_secs", gray.powercap_deficit_watt_secs);
-            o.field_u64("powercap_sheds", gray.powercap_sheds);
-        });
-    }
+    outcome_objects(&mut w, s);
     w.field_u64("nodes", t.nodes as u64);
     w.field_u64("arrivals", t.arrivals);
     w.field_u64("threads", t.workers as u64);

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use uniserver_units::{Megahertz, Seconds};
 
-use uniserver_cloudmgr::{Cluster, ClusterConfig};
+use uniserver_cloudmgr::{Cluster, ClusterConfig, ShardPool};
 use uniserver_core::ecosystem::{DeploymentConfig, Ecosystem};
 use uniserver_edge::latency::{LatencyBudget, NetworkPath, PlacementAnalysis};
 use uniserver_edge::DvfsPoint;
@@ -387,8 +387,9 @@ pub fn cloud(seed: u64) -> String {
         .msr
         .set_refresh_interval(uniserver_platform::msr::DomainId(1), Seconds::new(10.0))
         .expect("within controller range");
+    let pool = ShardPool::new(1);
     for _ in 0..90 {
-        cluster.tick(Seconds::new(2.0));
+        cluster.tick_pooled(Seconds::new(2.0), &pool);
     }
     let m = cluster.fleet_metrics();
     let mut t = Table::new(vec!["node", "availability", "utilization", "reliability"]);

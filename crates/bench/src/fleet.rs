@@ -33,21 +33,20 @@
 //!   individually. Set [`FleetConfig::share_training`] to `false` to
 //!   reproduce the legacy train-per-node deploy for baselines.
 //!
-//! Parallelism uses `std::thread::scope` with one chunk of nodes per
+//! Parallelism is [`ShardPool::map_chunks`] with one chunk of nodes per
 //! worker (the registry-less build has no rayon; the driver is an
 //! embarrassingly parallel map, so scoped threads lose nothing).
 //! Determinism is by construction, not by scheduling: node seeds are a
-//! pure function of `(fleet seed, node index)` and results are re-sorted
-//! by node index after the join, so any thread count — including 1 —
+//! pure function of `(fleet seed, node index)` and results come back in
+//! node-index order, so any thread count — including 1 —
 //! produces byte-identical summaries. Wall-clock timings
 //! ([`FleetTiming`]) are reported separately and are *not* part of the
 //! deterministic summary.
 
 use std::sync::Arc;
-use std::thread;
 use std::time::Instant;
 
-use uniserver_cloudmgr::pool::{cores, resolve_workers};
+use uniserver_cloudmgr::pool::{cores, resolve_workers, ShardPool};
 
 use uniserver_core::ecosystem::{DeploymentConfig, Ecosystem, SavingsReport};
 use uniserver_core::training::AdvisorCache;
@@ -365,42 +364,29 @@ pub fn simulate_timed(config: &FleetConfig) -> (FleetSummary, FleetTiming) {
 
     // One contiguous chunk of node indices per worker: an embarrassingly
     // parallel map whose only cross-thread step is the final collect.
-    let chunk = config.nodes.div_ceil(workers);
-    let (mut outcomes, deploy_secs, serve_secs): (Vec<NodeOutcome>, f64, f64) =
-        thread::scope(|scope| {
-            let cache = &cache;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let lo = (w * chunk).min(config.nodes);
-                    let hi = ((w + 1) * chunk).min(config.nodes);
-                    scope.spawn(move || {
-                        let mut chunk_outcomes = Vec::with_capacity(hi - lo);
-                        let mut chunk_deploy = 0.0f64;
-                        let mut chunk_serve = 0.0f64;
-                        for n in lo..hi {
-                            let (outcome, deploy, serve) = simulate_node(config, cache, n);
-                            chunk_outcomes.push(outcome);
-                            chunk_deploy += deploy;
-                            chunk_serve += serve;
-                        }
-                        (chunk_outcomes, chunk_deploy, chunk_serve)
-                    })
-                })
-                .collect();
-            let mut all = Vec::with_capacity(config.nodes);
-            let mut deploy = 0.0f64;
-            let mut serve = 0.0f64;
-            for h in handles {
-                let (chunk_outcomes, chunk_deploy, chunk_serve) =
-                    h.join().expect("fleet worker panicked");
-                all.extend(chunk_outcomes);
-                deploy += chunk_deploy;
-                serve += chunk_serve;
-            }
-            (all, deploy, serve)
-        });
-    // Chunks join in spawn order, but make the invariant explicit.
-    outcomes.sort_by_key(|o| o.node);
+    let mut indices: Vec<usize> = (0..config.nodes).collect();
+    let chunks = ShardPool::new(workers).map_chunks(&mut indices, |range| {
+        let mut chunk_deploy = 0.0f64;
+        let mut chunk_serve = 0.0f64;
+        let outcomes: Vec<NodeOutcome> = range
+            .iter()
+            .map(|&n| {
+                let (outcome, deploy, serve) = simulate_node(config, &cache, n);
+                chunk_deploy += deploy;
+                chunk_serve += serve;
+                outcome
+            })
+            .collect();
+        (outcomes, chunk_deploy, chunk_serve)
+    });
+    // Chunk order is node-index order.
+    let mut outcomes = Vec::with_capacity(config.nodes);
+    let (mut deploy_secs, mut serve_secs) = (0.0f64, 0.0f64);
+    for (chunk_outcomes, chunk_deploy, chunk_serve) in chunks {
+        outcomes.extend(chunk_outcomes);
+        deploy_secs += chunk_deploy;
+        serve_secs += chunk_serve;
+    }
 
     let n = outcomes.len() as f64;
     let mut eop = 0.0;

@@ -5,15 +5,14 @@
 //!
 //! Per-tick node advancement (hypervisor tick + failure-predictor log
 //! scan) is embarrassingly parallel between placement decisions, so
-//! [`Cluster::tick_pooled`] splits it across the workers of a
-//! persistent [`ShardPool`] in contiguous node-index chunks and then
-//! **reduces sequentially in node order**: energy is summed
-//! index-by-index (bit-identical floats for any worker count), crash
-//! events are emitted ordered by `(node index, event order)`, and the
-//! predictor's score write-back — plus the placement-mutating phases
-//! (proactive migration, recovery) — stay sequential. Worker count can
-//! therefore never change a report. [`Cluster::tick_sharded`] keeps the
-//! worker-count API by running the same path on a transient pool.
+//! [`Cluster::tick_pooled`] splits it across a [`ShardPool`]'s workers
+//! in contiguous node-index chunks that borrow the nodes and the
+//! predictor in place, and then **reduces sequentially in node order**:
+//! energy is summed index-by-index (bit-identical floats for any worker
+//! count), crash events are emitted ordered by `(node index, event
+//! order)`, and the predictor's score write-back — plus the
+//! placement-mutating phases (proactive migration, recovery) — stay
+//! sequential. Worker count can therefore never change a report.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -203,15 +202,6 @@ struct NodeAdvance {
     score: ScoreUpdate,
 }
 
-/// One node through the parallel phase of a sharded tick: hypervisor
-/// tick plus the predictor's immutable log scan. Touches only the node
-/// itself and the (shared, read-only) predictor, so shards never race.
-fn advance_node(node: &mut ManagedNode, predictor: &FailurePredictor, duration: Seconds) -> NodeAdvance {
-    let outcome = node.tick(duration);
-    let score = predictor.observe(node.id.0, node.hypervisor.health());
-    NodeAdvance { energy: outcome.energy, crash_events: outcome.crash_events, score }
-}
-
 /// Instrumentation one shard's advance produced on its worker:
 /// wall-clock nanos for the stage profiler (commutative, flushed to
 /// atomics per chunk) and an optional per-shard metrics registry
@@ -223,15 +213,15 @@ struct ShardStats {
     metrics: Option<MetricsRegistry>,
 }
 
-/// The shared per-node phase of both the sequential and the pooled
-/// tick path: identical computation, so the two stay bit-identical.
-/// `profile` adds per-node span timing; `collect` fills a shard-local
-/// registry with integer tick-domain stats.
+/// One shard of the tick's parallel phase: each node's hypervisor tick
+/// plus the predictor's immutable log scan, timed per node for the stage
+/// profiler. Touches only the shard's own nodes and the shared,
+/// read-only predictor, so shards never race. `collect` fills a
+/// shard-local registry with integer tick-domain stats.
 fn advance_slice(
     nodes: &mut [ManagedNode],
     predictor: &FailurePredictor,
     duration: Seconds,
-    profile: bool,
     collect: bool,
 ) -> (Vec<Option<NodeAdvance>>, ShardStats) {
     let mut stats = ShardStats { metrics: collect.then(MetricsRegistry::new), ..ShardStats::default() };
@@ -253,20 +243,16 @@ fn advance_slice(
                 }
                 return None;
             }
-            let adv = if profile {
-                let t0 = Instant::now();
-                let outcome = node.tick(duration);
-                let t1 = Instant::now();
-                let score = predictor.observe(node.id.0, node.hypervisor.health());
-                #[allow(clippy::cast_possible_truncation)]
-                {
-                    stats.tick_ns += (t1 - t0).as_nanos() as u64;
-                    stats.predictor_ns += t1.elapsed().as_nanos() as u64;
-                }
-                NodeAdvance { energy: outcome.energy, crash_events: outcome.crash_events, score }
-            } else {
-                advance_node(node, predictor, duration)
-            };
+            let t0 = Instant::now();
+            let outcome = node.tick(duration);
+            let t1 = Instant::now();
+            let score = predictor.observe(node.id.0, node.hypervisor.health());
+            #[allow(clippy::cast_possible_truncation)]
+            {
+                stats.tick_ns += (t1 - t0).as_nanos() as u64;
+                stats.predictor_ns += t1.elapsed().as_nanos() as u64;
+            }
+            let adv = NodeAdvance { energy: outcome.energy, crash_events: outcome.crash_events, score };
             if let Some(m) = &mut stats.metrics {
                 m.inc("node_ticks");
                 if matches!(adv.score, ScoreUpdate::Rescore { .. }) {
@@ -679,55 +665,25 @@ impl Cluster {
     /// events (drained from each node's platform feed) so event-driven
     /// callers can trigger failure-driven recovery.
     ///
-    /// Equivalent to [`Cluster::tick_sharded`] with one worker.
-    pub fn tick(&mut self, duration: Seconds) -> ClusterTickReport {
-        self.tick_sharded(duration, 1)
-    }
-
-    /// [`Cluster::tick`] with the per-node phase sharded across
-    /// `workers` threads (clamped to `[1, nodes]`) of a **transient**
-    /// pool. Per-tick callers should hold a [`ShardPool`] and use
-    /// [`Cluster::tick_pooled`] instead — spawning threads every tick is
-    /// exactly the overhead the persistent pool removes — but the
-    /// reduce contract is identical either way.
-    pub fn tick_sharded(&mut self, duration: Seconds, workers: usize) -> ClusterTickReport {
-        let workers = workers.clamp(1, self.nodes.len());
-        if workers <= 1 {
-            return self.tick_reduce(duration, None);
-        }
-        let pool = ShardPool::new(workers);
-        self.tick_pooled(duration, &pool)
-    }
-
-    /// [`Cluster::tick`] with the per-node phase sharded across the
-    /// workers of a persistent [`ShardPool`] in contiguous node-index
-    /// chunks. The results are reduced sequentially in node order, so
-    /// **any worker count produces the identical report**: energy sums
-    /// in index order (bit-identical floats), crash events order by
-    /// `(node index, event order)`, and the predictor write-back and
-    /// placement-mutating phases run on the caller's thread.
+    /// The per-node phase is sharded across `pool`'s workers in
+    /// contiguous node-index chunks, then reduced sequentially in node
+    /// order, so **any worker count produces the identical report**:
+    /// energy sums in index order (bit-identical floats), crash events
+    /// order by `(node index, event order)`, and the predictor write-back
+    /// and placement-mutating phases run on the caller's thread.
     pub fn tick_pooled(&mut self, duration: Seconds, pool: &ShardPool) -> ClusterTickReport {
-        if pool.workers() <= 1 || self.nodes.len() <= 1 {
-            return self.tick_reduce(duration, None);
+        let collect = self.metrics.is_some();
+        let predictor = &self.predictor;
+        let shards = pool.map_chunks(&mut self.nodes, |shard| {
+            advance_slice(shard, predictor, duration, collect)
+        });
+        let mut advances = Vec::with_capacity(self.nodes.len());
+        // Shard stats absorb in chunk order, so the metrics merge order
+        // is node-index order for any worker count.
+        for (shard_advances, stats) in shards {
+            advances.extend(shard_advances);
+            self.absorb_shard_stats(stats);
         }
-        self.tick_reduce(duration, Some(pool))
-    }
-
-    /// The full tick: parallel per-node phase (sequential when `pool` is
-    /// `None`), then the sequential reduce and placement-mutating
-    /// phases.
-    fn tick_reduce(&mut self, duration: Seconds, pool: Option<&ShardPool>) -> ClusterTickReport {
-        let advances = match pool {
-            Some(pool) => self.advance_nodes_pooled(duration, pool),
-            None => {
-                let profile = self.profiler.is_some();
-                let collect = self.metrics.is_some();
-                let (advances, stats) =
-                    advance_slice(&mut self.nodes, &self.predictor, duration, profile, collect);
-                self.absorb_shard_stats(stats);
-                advances
-            }
-        };
 
         // --- Sequential reduce, in node-index order. Offline nodes
         // produced no advance: no tick, no energy, no crash feed, and
@@ -779,58 +735,6 @@ impl Cluster {
             proactive_migrations: self.migrations - before,
             evicted,
         }
-    }
-
-    /// The parallel phase of a sharded tick: every node's hypervisor
-    /// advances and its health log is scored, one contiguous chunk per
-    /// worker. Returns per-node advances **in node-index order**
-    /// ([`ShardPool::scatter`] reassembles chunks in job-index order, so
-    /// worker scheduling cannot reorder them).
-    ///
-    /// The pool's workers are long-lived, so they cannot borrow from the
-    /// cluster the way scoped threads could: node chunks move **by
-    /// value** into the jobs and back out with the results (two shallow
-    /// O(n) moves per tick), and the predictor rides an `Arc` whose last
-    /// reference returns here after the join — per-node computation is
-    /// untouched, so the pooled and sequential paths are bit-identical.
-    fn advance_nodes_pooled(&mut self, duration: Seconds, pool: &ShardPool) -> Vec<Option<NodeAdvance>> {
-        let n = self.nodes.len();
-        let workers = pool.workers().clamp(1, n);
-        let chunk = n.div_ceil(workers);
-        let jobs = n.div_ceil(chunk);
-        let predictor = Arc::new(std::mem::take(&mut self.predictor));
-
-        let profile = self.profiler.is_some();
-        let collect = self.metrics.is_some();
-        let mut it = std::mem::take(&mut self.nodes).into_iter();
-        let mut chunks: Vec<Vec<ManagedNode>> =
-            (0..jobs).map(|_| it.by_ref().take(chunk).collect()).collect();
-        let results = pool.scatter(jobs, |i| {
-            let mut shard = std::mem::take(&mut chunks[i]);
-            let predictor = Arc::clone(&predictor);
-            Box::new(move || {
-                let (advances, stats) =
-                    advance_slice(&mut shard, &predictor, duration, profile, collect);
-                (shard, advances, stats)
-            })
-        });
-
-        let mut nodes = Vec::with_capacity(n);
-        let mut advances = Vec::with_capacity(n);
-        // Shard stats absorb in job-index order too, so the metrics
-        // merge order equals node-index order exactly as the sequential
-        // path records it.
-        for (shard, shard_advances, stats) in results {
-            nodes.extend(shard);
-            advances.extend(shard_advances);
-            self.absorb_shard_stats(stats);
-        }
-        self.nodes = nodes;
-        // Every job dropped its clone before reporting its result, and
-        // `scatter` saw all of them: this reference is the last.
-        self.predictor =
-            Arc::try_unwrap(predictor).expect("workers released the predictor on join");
-        advances
     }
 
     /// Failure-driven recovery after a node crash: every tracked
@@ -1285,7 +1189,7 @@ mod tests {
         let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(3), 100);
         cluster.submit(VmConfig::ldbc_benchmark(), SlaClass::Gold);
         for _ in 0..30 {
-            cluster.tick(Seconds::new(1.0));
+            cluster.tick_pooled(Seconds::new(1.0), &ShardPool::new(1));
         }
         let m = cluster.fleet_metrics();
         assert_eq!(m.migrations, 0);
@@ -1314,7 +1218,7 @@ mod tests {
         }
 
         for _ in 0..60 {
-            cluster.tick(Seconds::new(2.0));
+            cluster.tick_pooled(Seconds::new(2.0), &ShardPool::new(1));
             if cluster.fleet_metrics().migrations > 0 {
                 break;
             }
@@ -1447,8 +1351,8 @@ mod tests {
         let mut par = build();
         let mut saw_crash = false;
         for _ in 0..60 {
-            let a = seq.tick(Seconds::new(1.0));
-            let b = par.tick_sharded(Seconds::new(1.0), 4);
+            let a = seq.tick_pooled(Seconds::new(1.0), &ShardPool::new(1));
+            let b = par.tick_pooled(Seconds::new(1.0), &ShardPool::new(4));
             assert_eq!(a, b, "worker count must never change a tick report");
             saw_crash |= !a.crashes.is_empty();
         }
@@ -1462,10 +1366,10 @@ mod tests {
     }
 
     #[test]
-    fn one_persistent_pool_serves_every_tick_identically() {
-        // The orchestrator's pattern: one ShardPool reused across the
-        // whole horizon (deploy + ~720 ticks) — versus fresh sequential
-        // ticks. Reusing workers must be invisible in every report.
+    fn uneven_shards_serve_every_tick_identically() {
+        // Five nodes over three workers shard unevenly (2 + 2 + 1); the
+        // orchestrator's pattern of one pool for the whole horizon must
+        // match sequential ticks in every report.
         let build = || {
             let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(5), 100);
             for i in 0..5 {
@@ -1481,9 +1385,9 @@ mod tests {
         let pool = ShardPool::new(3);
         let mut saw_crash = false;
         for tick in 0..60 {
-            let a = seq.tick(Seconds::new(1.0));
+            let a = seq.tick_pooled(Seconds::new(1.0), &ShardPool::new(1));
             let b = pooled.tick_pooled(Seconds::new(1.0), &pool);
-            assert_eq!(a, b, "pool reuse changed tick {tick}");
+            assert_eq!(a, b, "sharding changed tick {tick}");
             saw_crash |= !a.crashes.is_empty();
         }
         assert!(saw_crash, "a 20 % undervolt must crash within 60 ticks");
@@ -1496,9 +1400,9 @@ mod tests {
         let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(2), 100);
         cluster.submit(VmConfig::idle_guest(), SlaClass::Bronze);
         // More workers than nodes (and zero workers) both behave.
-        let a = cluster.tick_sharded(Seconds::new(1.0), 64);
+        let a = cluster.tick_pooled(Seconds::new(1.0), &ShardPool::new(64));
         assert!(a.crashes.is_empty());
-        let b = cluster.tick_sharded(Seconds::new(1.0), 0);
+        let b = cluster.tick_pooled(Seconds::new(1.0), &ShardPool::new(0));
         assert!(b.crashes.is_empty());
         assert!(cluster.fleet_metrics().total_energy.as_joules() > 0.0);
     }
@@ -1527,7 +1431,7 @@ mod tests {
         node.hypervisor.node_mut().msr.set_voltage_offset_all(deep).unwrap();
         let mut seen = Vec::new();
         for _ in 0..60 {
-            let report = cluster.tick(Seconds::new(1.0));
+            let report = cluster.tick_pooled(Seconds::new(1.0), &ShardPool::new(1));
             if !report.crashes.is_empty() {
                 seen = report.crashes;
                 break;
@@ -1574,7 +1478,7 @@ mod tests {
             }
             assert!(cluster.submit(VmConfig::ldbc_benchmark(), SlaClass::Bronze).is_none());
             for _ in 0..5 {
-                cluster.tick(Seconds::new(1.0));
+                cluster.tick_pooled(Seconds::new(1.0), &ShardPool::new(1));
             }
             assert!(cluster.nodes()[0].metrics().energy.as_joules() > 0.0);
             assert_eq!(
@@ -1602,8 +1506,8 @@ mod tests {
         let mut seq = build();
         let mut par = build();
         for tick in 0..20 {
-            let a = seq.tick(Seconds::new(1.0));
-            let b = par.tick_sharded(Seconds::new(1.0), 4);
+            let a = seq.tick_pooled(Seconds::new(1.0), &ShardPool::new(1));
+            let b = par.tick_pooled(Seconds::new(1.0), &ShardPool::new(4));
             assert_eq!(a, b, "offline skip changed tick {tick} across worker counts");
         }
         assert_eq!(seq.fleet_metrics(), par.fleet_metrics());
@@ -1631,7 +1535,7 @@ mod tests {
             assert_ne!(p.node, NodeId(2), "the default policy never places onto sleepers");
         }
         for _ in 0..5 {
-            cluster.tick(Seconds::new(1.0));
+            cluster.tick_pooled(Seconds::new(1.0), &ShardPool::new(1));
         }
         let sleeper = cluster.nodes()[2].metrics();
         let expected = SLEEP_POWER_WATTS * 5.0;
@@ -1674,8 +1578,8 @@ mod tests {
         let mut seq = build();
         let mut par = build();
         for tick in 0..20 {
-            let a = seq.tick(Seconds::new(1.0));
-            let b = par.tick_sharded(Seconds::new(1.0), 4);
+            let a = seq.tick_pooled(Seconds::new(1.0), &ShardPool::new(1));
+            let b = par.tick_pooled(Seconds::new(1.0), &ShardPool::new(4));
             assert_eq!(a, b, "asleep skip changed tick {tick} across worker counts");
         }
         assert_eq!(seq.fleet_metrics(), par.fleet_metrics());
@@ -1842,7 +1746,7 @@ mod tests {
             .set_refresh_interval(DomainId(1), Seconds::new(10.0))
             .unwrap();
         for _ in 0..200 {
-            cluster.tick(Seconds::new(2.0));
+            cluster.tick_pooled(Seconds::new(2.0), &ShardPool::new(1));
             if cluster.nodes()[0].reliability < 0.7 {
                 break;
             }
@@ -1911,8 +1815,8 @@ mod tests {
         seq.enable_metrics();
         par.enable_metrics();
         for _ in 0..40 {
-            let a = seq.tick(Seconds::new(1.0));
-            let b = par.tick_sharded(Seconds::new(1.0), 4);
+            let a = seq.tick_pooled(Seconds::new(1.0), &ShardPool::new(1));
+            let b = par.tick_pooled(Seconds::new(1.0), &ShardPool::new(4));
             assert_eq!(a, b, "metrics collection must not perturb the tick");
         }
         let a = seq.take_metrics().expect("metrics were enabled");
@@ -1934,7 +1838,7 @@ mod tests {
         profiled.set_profiler(Arc::clone(&profiler));
         let pool = ShardPool::new(3);
         for tick in 0..20 {
-            let a = plain.tick(Seconds::new(1.0));
+            let a = plain.tick_pooled(Seconds::new(1.0), &ShardPool::new(1));
             let b = profiled.tick_pooled(Seconds::new(1.0), &pool);
             assert_eq!(a, b, "profiling changed tick {tick}");
         }

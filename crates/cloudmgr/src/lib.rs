@@ -31,6 +31,7 @@
 //!
 //! ```
 //! use uniserver_cloudmgr::cluster::{Cluster, ClusterConfig};
+//! use uniserver_cloudmgr::pool::ShardPool;
 //! use uniserver_cloudmgr::sla::SlaClass;
 //! use uniserver_hypervisor::vm::VmConfig;
 //! use uniserver_units::Seconds;
@@ -38,7 +39,7 @@
 //! let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(3), 7);
 //! let placed = cluster.submit(VmConfig::idle_guest(), SlaClass::Bronze);
 //! assert!(placed.is_some());
-//! cluster.tick(Seconds::new(1.0));
+//! cluster.tick_pooled(Seconds::new(1.0), &ShardPool::new(1));
 //! ```
 
 pub mod cluster;

@@ -1,143 +1,73 @@
-//! A persistent worker pool for the serving loop's sharded phases.
+//! The worker count of the serving loop's sharded phases, and the one
+//! chunked map that deploy, the cluster tick and the fleet driver share.
 //!
-//! The sharded cluster tick used to spawn fresh `thread::scope` workers
-//! every tick — ~720 spawns × workers per simulated hour, paid again by
-//! the parallel deploy. [`ShardPool`] spawns its workers **once** and
-//! feeds them jobs over a channel, so the orchestrator creates one pool
-//! per run and reuses it across deploy and every tick.
-//!
-//! # Design
-//!
-//! The workspace denies `unsafe_code`, so the pool cannot hand borrowed
-//! slices to long-lived threads the way `thread::scope` does. Jobs are
-//! therefore **owning** closures (`FnOnce() + Send + 'static`): callers
-//! move their data in (node chunks by value, shared state behind `Arc`)
-//! and receive it back through the result channel of
-//! [`ShardPool::scatter`]. Moving a `ManagedNode` is a shallow struct
-//! copy — the hypervisor state behind it stays put — so a 10⁴-node tick
-//! pays two O(n) pointer-sized moves, not a deep clone.
+//! [`ShardPool::map_chunks`] splits a slice into contiguous chunks, one
+//! per worker, and runs them on `std::thread::scope` threads that borrow
+//! the chunks and any shared state directly — nothing is moved in or
+//! out, and no thread outlives the call. The calling thread runs the
+//! first chunk itself, so a two-worker map spawns a single thread.
 //!
 //! # Determinism
 //!
-//! Workers compete for jobs, so *completion* order is scheduling-
-//! dependent — but [`ShardPool::scatter`] returns results in job-index
-//! order regardless, and every consumer reduces sequentially in that
-//! order. Worker count and scheduling can never change a result.
+//! Chunk boundaries depend only on the slice length and the worker
+//! count, and results come back **in chunk order** whichever thread
+//! finished first. Every consumer reduces sequentially in that order,
+//! so worker count and scheduling can never change a result.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::panic::resume_unwind;
+use std::thread;
 
-/// An owning unit of work.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A long-lived pool of shard workers. Dropping the pool closes the job
-/// channel and joins every worker.
-#[derive(Debug)]
+/// How many workers a sharded phase splits across (at least one).
+#[derive(Debug, Clone, Copy)]
 pub struct ShardPool {
-    /// Job injector; `None` only during drop (closing it stops workers).
-    sender: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    workers: usize,
 }
 
 impl ShardPool {
-    /// Spawns a pool of `workers` threads (at least one).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the OS refuses to spawn a thread.
+    /// A pool of `workers` workers (at least one).
     #[must_use]
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let (sender, receiver) = channel::<Job>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let workers = (0..workers)
-            .map(|i| {
-                let receiver = Arc::clone(&receiver);
-                thread::Builder::new()
-                    .name(format!("shard-worker-{i}"))
-                    .spawn(move || worker_loop(&receiver))
-                    .expect("spawn shard worker")
-            })
-            .collect();
-        ShardPool { sender: Some(sender), workers }
+        ShardPool { workers: workers.max(1) }
     }
 
-    /// Number of worker threads.
+    /// Number of workers.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.workers
     }
 
-    /// Runs `jobs` closures on the pool and collects their results **in
-    /// job-index order** (independent of which worker ran what, or
-    /// when). Blocks until every job has reported.
+    /// Splits `items` into at most [`ShardPool::workers`] contiguous
+    /// chunks of equal length (the last may be shorter), applies `f` to
+    /// each in parallel and returns the results **in chunk order**. With
+    /// one worker, or at most one item, `f` runs once, inline, on the
+    /// whole slice.
     ///
     /// # Panics
     ///
-    /// Panics if any job panicked on a worker (the panic is contained
-    /// worker-side so remaining jobs still run, then re-raised here).
-    pub fn scatter<R, F>(&self, jobs: usize, mut make_job: F) -> Vec<R>
+    /// Re-raises the panic of any chunk, with its original payload, once
+    /// every chunk has finished.
+    pub fn map_chunks<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
     where
-        R: Send + 'static,
-        F: FnMut(usize) -> Box<dyn FnOnce() -> R + Send + 'static>,
+        T: Send,
+        R: Send,
+        F: Fn(&mut [T]) -> R + Sync,
     {
-        let sender = self.sender.as_ref().expect("pool is live");
-        let (result_tx, result_rx) = channel::<(usize, R)>();
-        for i in 0..jobs {
-            let job = make_job(i);
-            let result_tx = result_tx.clone();
-            sender
-                .send(Box::new(move || {
-                    let r = job();
-                    // A receiver that hung up means the caller already
-                    // panicked; nothing useful left to report.
-                    let _ = result_tx.send((i, r));
-                }))
-                .expect("pool workers are joined only on drop");
+        if self.workers <= 1 || items.len() <= 1 {
+            return vec![f(items)];
         }
-        drop(result_tx);
-        let mut slots: Vec<Option<R>> = (0..jobs).map(|_| None).collect();
-        for _ in 0..jobs {
-            match result_rx.recv() {
-                Ok((i, r)) => slots[i] = Some(r),
-                // Every sender clone lives inside a job; disconnection
-                // before `jobs` results means a job died mid-flight.
-                Err(_) => panic!("shard pool job panicked"),
+        let chunk = items.len().div_ceil(self.workers.min(items.len()));
+        let mut chunks = items.chunks_mut(chunk);
+        let first = chunks.next().expect("a non-empty slice has a first chunk");
+        let f = &f;
+        thread::scope(|scope| {
+            let handles: Vec<_> = chunks.map(|c| scope.spawn(move || f(c))).collect();
+            let mut results = Vec::with_capacity(handles.len() + 1);
+            results.push(f(first));
+            for handle in handles {
+                results.push(handle.join().unwrap_or_else(|panic| resume_unwind(panic)));
             }
-        }
-        slots.into_iter().map(|r| r.expect("each job reports exactly once")).collect()
-    }
-}
-
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        // Closing the channel ends every worker's recv loop.
-        self.sender = None;
-        for handle in self.workers.drain(..) {
-            // A worker that panicked outside a job already aborted its
-            // loop; drop must not double-panic.
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(receiver: &Arc<Mutex<Receiver<Job>>>) {
-    loop {
-        // Hold the lock only to receive: the job itself runs unlocked,
-        // so one long chunk never blocks the other workers' pickup.
-        let job = match receiver.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return,
-        };
-        match job {
-            // Contain job panics so the pool survives and `scatter` can
-            // report the failure from the calling thread instead of
-            // deadlocking on a missing result.
-            Ok(job) => drop(catch_unwind(AssertUnwindSafe(job))),
-            Err(_) => return,
-        }
+            results
+        })
     }
 }
 
@@ -166,63 +96,59 @@ pub fn resolve_workers(requested: usize, jobs: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    #[test]
-    fn scatter_returns_results_in_job_order() {
-        let pool = ShardPool::new(4);
-        assert_eq!(pool.workers(), 4);
-        let results = pool.scatter(16, |i| Box::new(move || i * 10));
-        assert_eq!(results, (0..16).map(|i| i * 10).collect::<Vec<_>>());
+    /// Maps `0..n` in chunks, returning each chunk's items.
+    fn chunked(workers: usize, n: usize) -> Vec<Vec<usize>> {
+        let mut items: Vec<usize> = (0..n).collect();
+        ShardPool::new(workers).map_chunks(&mut items, |c| c.to_vec())
     }
 
     #[test]
-    fn pool_is_reusable_across_batches() {
-        let pool = ShardPool::new(2);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for batch in 0..5 {
-            let counter = Arc::clone(&counter);
-            let results = pool.scatter(3, move |i| {
-                let counter = Arc::clone(&counter);
-                Box::new(move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    batch * 3 + i
-                })
-            });
-            assert_eq!(results, vec![batch * 3, batch * 3 + 1, batch * 3 + 2]);
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 15);
+    fn results_come_back_in_chunk_order() {
+        assert_eq!(chunked(1, 7), vec![(0..7).collect::<Vec<_>>()]);
+        assert_eq!(chunked(2, 7), vec![vec![0, 1, 2, 3], vec![4, 5, 6]]);
+        assert_eq!(chunked(3, 7), vec![vec![0, 1, 2], vec![3, 4, 5], vec![6]]);
+        assert_eq!(chunked(16, 3), vec![vec![0], vec![1], vec![2]], "more workers than items");
+        assert_eq!(chunked(4, 1), vec![vec![0]]);
+        assert_eq!(chunked(4, 0), vec![Vec::<usize>::new()], "an empty slice maps inline");
     }
 
     #[test]
-    fn single_worker_pool_still_completes_many_jobs() {
-        let pool = ShardPool::new(1);
-        let results = pool.scatter(8, |i| Box::new(move || i));
-        assert_eq!(results.len(), 8);
+    fn chunks_write_through_to_the_borrowed_slice() {
+        let mut items: Vec<u64> = (0..10).collect();
+        let sums = ShardPool::new(3).map_chunks(&mut items, |c| {
+            c.iter_mut().for_each(|x| *x *= 10);
+            c.iter().sum::<u64>()
+        });
+        assert_eq!(items, (0..10).map(|x| x * 10).collect::<Vec<_>>());
+        assert_eq!(sums, vec![60, 220, 170]);
     }
 
-    #[test]
-    #[should_panic(expected = "shard pool job panicked")]
-    fn job_panics_propagate_to_the_caller() {
-        let pool = ShardPool::new(2);
-        let _ = pool.scatter(4, |i| {
-            Box::new(move || {
-                assert!(i != 2, "job 2 dies");
-                i
-            })
+    /// Maps four items over `workers`, panicking in the chunk that
+    /// holds `dying_item`.
+    fn die_at(workers: usize, dying_item: usize) {
+        let mut items: Vec<usize> = (0..4).collect();
+        ShardPool::new(workers).map_chunks(&mut items, |c| {
+            assert!(!c.contains(&dying_item), "chunk holding {dying_item} dies");
         });
     }
 
     #[test]
-    fn pool_survives_a_panicked_job() {
-        let pool = ShardPool::new(1);
-        let died = catch_unwind(AssertUnwindSafe(|| {
-            let _ = pool.scatter(1, |_| Box::new(|| panic!("boom")));
-        }));
-        assert!(died.is_err());
-        // The worker contained the panic: the pool still works.
-        let results: Vec<usize> = pool.scatter(2, |i| Box::new(move || i + 1));
-        assert_eq!(results, vec![1, 2]);
+    #[should_panic(expected = "chunk holding 3 dies")]
+    fn a_spawned_chunk_panic_reaches_the_caller_with_its_message() {
+        die_at(2, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk holding 0 dies")]
+    fn a_panic_in_the_callers_own_chunk_reaches_the_caller_with_its_message() {
+        die_at(2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk holding 0 dies")]
+    fn an_inline_panic_reaches_the_caller_with_its_message() {
+        die_at(1, 0);
     }
 
     #[test]

@@ -33,6 +33,7 @@ use uniserver_silicon::rng::{exponential, poisson, splitmix64, unit_fraction};
 
 use crate::cluster::{Cluster, Placement};
 use crate::node::NodeId;
+use crate::pool::ShardPool;
 use crate::sla::SlaClass;
 
 /// Sub-stream salt for the arrival process (keeps arrival draws
@@ -517,7 +518,7 @@ impl StreamDriver {
         self.tick += 1;
 
         // --- Advance the cluster and reconcile its eviction feedback.
-        let report = cluster.tick(duration);
+        let report = cluster.tick_pooled(duration, &ShardPool::new(1));
         let mut lost: Vec<_> = report.evicted.iter().map(|p| p.id).collect();
         let mut crashed: Vec<NodeId> = Vec::new();
         for (node_id, _event) in &report.crashes {

@@ -6,8 +6,8 @@
 //!
 //! Determinism is by construction: a node's silicon, part, ambient and
 //! operating point are pure functions of `(scenario seed, node index)`,
-//! results are re-sorted by node index after the join, and the advisor
-//! cache is pre-trained per part before workers spawn. Any worker count
+//! results come back in node-index order, and the advisor cache is
+//! pre-trained per part before workers spawn. Any worker count
 //! produces the identical cluster.
 
 use std::sync::Arc;
@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use uniserver_cloudmgr::cluster::Cluster;
 use uniserver_cloudmgr::node::{ManagedNode, NodeId};
-use uniserver_cloudmgr::pool::{resolve_workers, ShardPool};
+use uniserver_cloudmgr::pool::ShardPool;
 use uniserver_core::ecosystem::{provision_node, recharacterize_node, DeploymentConfig};
 use uniserver_core::eop::OperatingPoint;
 use uniserver_core::training::AdvisorCache;
@@ -88,36 +88,17 @@ fn deploy_one(config: &OrchestratorConfig, cache: &AdvisorCache, node: usize) ->
     (managed, record)
 }
 
-/// Deploys the whole rack in parallel on a transient pool sized by
-/// [`resolve_workers`]. Returns the assembled cluster, the per-node
-/// deploy records (ordered by node index), the summed per-node deploy
-/// wall-clock in seconds, and the worker count used.
+/// Deploys the whole rack in parallel across `pool`'s workers, one
+/// contiguous node-index range per worker that borrows the scenario
+/// configuration and the pre-trained advisor cache. Returns the
+/// assembled cluster, the per-node deploy records (ordered by node
+/// index), the summed per-chunk deploy wall-clock in seconds, and the
+/// advisor cache. Results reassemble in chunk order, so any worker count
+/// produces the identical cluster.
 ///
-/// Per-run callers (the serving loop) should create one [`ShardPool`]
-/// and use [`deploy_cluster_on`] so the same workers serve every tick.
-///
-/// # Panics
-///
-/// Panics if the cluster has zero nodes or a worker panics.
-#[must_use]
-pub fn deploy_cluster(config: &OrchestratorConfig) -> (Cluster, Vec<DeployedNode>, f64, usize) {
-    let pool = ShardPool::new(resolve_workers(config.threads, config.cluster.nodes));
-    let (cluster, records, secs, _) = deploy_cluster_on(config, &pool);
-    (cluster, records, secs, pool.workers())
-}
-
-/// Deploys the whole rack on an existing [`ShardPool`] — the
-/// orchestrator's entry point, reusing the run's persistent workers.
-///
-/// The pool's threads are long-lived, so jobs own their inputs: the
-/// scenario configuration and the pre-trained advisor cache ride `Arc`s
-/// into one contiguous node-index range per worker, and results
-/// reassemble in job-index order — any worker count produces the
-/// identical cluster.
-///
-/// The advisor cache is returned alongside the cluster so rejoin-time
-/// re-characterizations ([`rejoin_node`]) reuse the per-part models
-/// trained at deploy time instead of retraining mid-run.
+/// The advisor cache is returned so rejoin-time re-characterizations
+/// ([`rejoin_node`]) reuse the per-part models trained at deploy time
+/// instead of retraining mid-run.
 ///
 /// # Panics
 ///
@@ -129,7 +110,6 @@ pub fn deploy_cluster_on(
 ) -> (Cluster, Vec<DeployedNode>, f64, Arc<AdvisorCache>) {
     let nodes = config.cluster.nodes;
     assert!(nodes > 0, "a cluster needs nodes");
-    let workers = pool.workers().min(nodes);
 
     // Pre-train every part of the mix so workers only ever hit the cache.
     let cache = Arc::new(AdvisorCache::new());
@@ -140,25 +120,17 @@ pub fn deploy_cluster_on(
         }
     }
 
-    let chunk = nodes.div_ceil(workers);
-    let jobs = nodes.div_ceil(chunk);
-    let shared_config = Arc::new(config.clone());
-    let results = pool.scatter(jobs, |w| {
-        let lo = (w * chunk).min(nodes);
-        let hi = ((w + 1) * chunk).min(nodes);
-        let config = Arc::clone(&shared_config);
-        let cache = Arc::clone(&cache);
-        Box::new(move || {
-            let start = Instant::now();
-            let out: Vec<_> = (lo..hi).map(|n| deploy_one(&config, &cache, n)).collect();
-            (out, start.elapsed().as_secs_f64())
-        })
+    let mut indices: Vec<usize> = (0..nodes).collect();
+    let results = pool.map_chunks(&mut indices, |range| {
+        let start = Instant::now();
+        let out: Vec<_> = range.iter().map(|&n| deploy_one(config, &cache, n)).collect();
+        (out, start.elapsed().as_secs_f64())
     });
 
     let mut managed = Vec::with_capacity(nodes);
     let mut records = Vec::with_capacity(nodes);
     let mut deploy_secs = 0.0;
-    // Job-index order == node-index order (contiguous ranges).
+    // Chunk order == node-index order (contiguous ranges).
     for (chunk_out, chunk_secs) in results {
         for (m, r) in chunk_out {
             managed.push(m);
@@ -203,40 +175,29 @@ pub fn rejoin_node(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uniserver_cloudmgr::pool::resolve_workers;
 
-    #[test]
-    fn deploy_is_worker_count_independent() {
-        use uniserver_cloudmgr::pool::resolve_workers;
-
-        let mut config = OrchestratorConfig::smoke(6, 11);
-        config.threads = 1;
-        let (_, seq, _, w1) = deploy_cluster(&config);
-        config.threads = 3;
-        let (_, par, _, w3) = deploy_cluster(&config);
-        assert_eq!(w1, 1);
-        // Requests are clamped to the machine's cores (oversubscription
-        // buys nothing), so the resolved count is machine-dependent.
-        assert_eq!(w3, resolve_workers(3, 6));
-        assert_eq!(seq, par, "worker count must not perturb any node");
+    /// Deploys on a pool sized the way the serving loop sizes it.
+    fn deploy(config: &OrchestratorConfig) -> (Cluster, Vec<DeployedNode>) {
+        let pool = ShardPool::new(resolve_workers(config.threads, config.cluster.nodes));
+        let (cluster, records, _, _) = deploy_cluster_on(config, &pool);
+        (cluster, records)
     }
 
     #[test]
-    fn deploy_on_a_shared_pool_matches_the_transient_path() {
-        let config = OrchestratorConfig::smoke(5, 23);
-        let (_, transient, _, _) = deploy_cluster(&config);
-        let pool = ShardPool::new(2);
-        let (cluster, pooled, secs, _) = deploy_cluster_on(&config, &pool);
-        assert_eq!(transient, pooled, "pool reuse must not perturb any node");
-        assert_eq!(cluster.nodes().len(), 5);
+    fn deploy_is_worker_count_independent() {
+        let config = OrchestratorConfig::smoke(6, 11);
+        let (_, seq, secs, _) = deploy_cluster_on(&config, &ShardPool::new(1));
+        let (cluster, par, _, _) = deploy_cluster_on(&config, &ShardPool::new(4));
+        assert_eq!(seq, par, "worker count must not perturb any node");
+        assert_eq!(cluster.nodes().len(), 6);
         assert!(secs > 0.0);
-        // The pool survives deploy and stays usable for the serve phase.
-        assert_eq!(pool.scatter(2, |i| Box::new(move || i)), vec![0, 1]);
     }
 
     #[test]
     fn extended_racks_run_undervolted_nominal_racks_do_not() {
         let config = OrchestratorConfig::smoke(4, 7);
-        let (cluster, records, _, _) = deploy_cluster(&config);
+        let (cluster, records) = deploy(&config);
         for (node, rec) in cluster.nodes().iter().zip(&records) {
             assert!(rec.point.min_offset_mv() > 0.0, "extended node must undervolt");
             assert!(node.hypervisor.node().msr.voltage_offset_mv(0) > 0.0);
@@ -246,7 +207,7 @@ mod tests {
             margins: MarginPolicy::Nominal,
             ..OrchestratorConfig::smoke(4, 7)
         };
-        let (cluster, records, _, _) = deploy_cluster(&nominal);
+        let (cluster, records) = deploy(&nominal);
         for (node, rec) in cluster.nodes().iter().zip(&records) {
             assert_eq!(rec.point.min_offset_mv(), 0.0);
             assert_eq!(node.hypervisor.node().msr.voltage_offset_mv(0), 0.0);

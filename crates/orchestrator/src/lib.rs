@@ -16,7 +16,7 @@
 //! * [`orchestrator`] — the serving loop: seeded arrival batches,
 //!   energy/SLA-aware placement, crash-driven eviction/migration via
 //!   `uniserver_cloudmgr`, with the per-node phase sharded across
-//!   worker threads (`Cluster::tick_sharded`) under a deterministic
+//!   worker threads (`Cluster::tick_pooled`) under a deterministic
 //!   sequential reduce;
 //! * [`summary`] — the deterministic [`ClusterSummary`] artefact plus
 //!   wall-clock [`OrchestratorTiming`];
@@ -43,7 +43,7 @@ pub mod summary;
 pub mod watchdog;
 
 pub use config::{AdmissionPolicy, MarginPolicy, OrchestratorConfig};
-pub use deploy::{deploy_cluster, rejoin_node, DeployedNode};
+pub use deploy::{rejoin_node, DeployedNode};
 pub use events::{Event, EventQueue};
 pub use orchestrator::{compare, run, run_timed, run_with_telemetry};
 pub use summary::{

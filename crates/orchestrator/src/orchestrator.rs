@@ -12,10 +12,9 @@
 //!    rejections either enter the bounded per-class retry queue or are
 //!    counted `abandoned`, per the [`crate::config::AdmissionPolicy`];
 //! 3. advance every node's hypervisor one tick — **sharded across the
-//!    run's persistent worker pool** (`Cluster::tick_pooled`; the same
-//!    threads that deployed the rack serve every tick), with energy,
-//!    crash events and predictor scores reduced sequentially in
-//!    node-index order;
+//!    run's workers** (`Cluster::tick_pooled`, the same `ShardPool` that
+//!    deployed the rack), with energy, crash events and predictor scores
+//!    reduced sequentially in node-index order;
 //! 4. for every crashed node (deduplicated: several same-tick crash
 //!    events still recover once), run failure-driven recovery (migrate
 //!    what fits elsewhere, evict the rest). With the failure lifecycle
@@ -112,9 +111,8 @@ pub fn run_with_telemetry(
     }
     let ticks = config.ticks();
     let wall_start = Instant::now();
-    // One persistent worker pool for the whole run: the parallel deploy
-    // and all ~720 sharded ticks reuse the same threads instead of
-    // paying a `thread::scope` spawn per tick.
+    // One worker count for the whole run: the parallel deploy and every
+    // sharded tick split across the same `ShardPool`.
     let workers = resolve_workers(config.threads, config.cluster.nodes);
     let pool = ShardPool::new(workers);
     let (mut cluster, records, deploy_secs, cache) = deploy_cluster_on(config, &pool);

@@ -1,7 +1,7 @@
 //! Reduce-side bookkeeping of the serving loop.
 //!
 //! The per-node phase of a tick is sharded across workers (see
-//! [`uniserver_cloudmgr::cluster::Cluster::tick_sharded`]); everything
+//! [`uniserver_cloudmgr::cluster::Cluster::tick_pooled`]); everything
 //! in this module runs **after** the parallel phase, sequentially, on
 //! the orchestrator's thread — event drains, SLA charging and
 //! failure-driven recovery are placement-mutating and stay serial so a
@@ -560,8 +560,17 @@ mod tests {
     use uniserver_hypervisor::vm::VmConfig;
     use uniserver_units::Volts;
 
+    use uniserver_cloudmgr::pool::{resolve_workers, ShardPool};
+
     use crate::config::OrchestratorConfig;
-    use crate::deploy::deploy_cluster;
+    use crate::deploy::{deploy_cluster_on, DeployedNode};
+
+    /// Deploys on a pool sized the way the serving loop sizes it.
+    fn deploy(config: &OrchestratorConfig) -> (Cluster, Vec<DeployedNode>) {
+        let pool = ShardPool::new(resolve_workers(config.threads, config.cluster.nodes));
+        let (cluster, records, _, _) = deploy_cluster_on(config, &pool);
+        (cluster, records)
+    }
 
     fn crash_event(at: f64) -> CrashEvent {
         CrashEvent { core: 0, at: Seconds::new(at), voltage: Volts::new(0.9), workload: Arc::from("ldbc") }
@@ -578,7 +587,7 @@ mod tests {
     /// Deploys a 2-node rack and packs it until the scheduler rejects.
     fn overloaded_rack(seed: u64) -> Cluster {
         let config = OrchestratorConfig::smoke(2, seed);
-        let (mut cluster, _, _, _) = deploy_cluster(&config);
+        let (mut cluster, _) = deploy(&config);
         while cluster.submit(VmConfig::idle_guest(), SlaClass::Bronze).is_some() {}
         cluster
     }
@@ -694,7 +703,7 @@ mod tests {
     #[test]
     fn duplicate_same_tick_crash_events_recover_and_back_off_once() {
         let config = OrchestratorConfig::smoke(3, 11);
-        let (mut cluster, records, _, _) = deploy_cluster(&config);
+        let (mut cluster, records) = deploy(&config);
         let mut points: Vec<OperatingPoint> = records.iter().map(|r| r.point.clone()).collect();
         let node_parts: Vec<Option<usize>> = records
             .iter()
@@ -746,7 +755,7 @@ mod tests {
     #[test]
     fn consecutive_tick_double_crash_backs_off_twice_but_never_past_nominal() {
         let config = OrchestratorConfig::smoke(3, 11);
-        let (mut cluster, records, _, _) = deploy_cluster(&config);
+        let (mut cluster, records) = deploy(&config);
         let mut points: Vec<OperatingPoint> = records.iter().map(|r| r.point.clone()).collect();
         let node_parts = vec![None; records.len()];
         let victim = NodeId(0);
@@ -790,7 +799,7 @@ mod tests {
     #[test]
     fn lifecycle_crash_takes_the_node_offline_and_skips_the_backoff() {
         let config = OrchestratorConfig::smoke(3, 17);
-        let (mut cluster, records, _, _) = deploy_cluster(&config);
+        let (mut cluster, records) = deploy(&config);
         let mut points: Vec<OperatingPoint> = records.iter().map(|r| r.point.clone()).collect();
         let node_parts = vec![None; records.len()];
         for _ in 0..3 {
@@ -842,7 +851,7 @@ mod tests {
     #[test]
     fn degraded_reoffer_sheds_bronze_to_free_capacity_for_gold() {
         let config = OrchestratorConfig::smoke(3, 29);
-        let (mut cluster, _, _, _) = deploy_cluster(&config);
+        let (mut cluster, _) = deploy(&config);
         while cluster.submit(VmConfig::idle_guest(), SlaClass::Bronze).is_some() {}
         let mut queue = EventQueue::new();
         let mut retry = RetryQueue::new(AdmissionPolicy::gold_priority());
@@ -880,7 +889,7 @@ mod tests {
     #[test]
     fn nominal_racks_never_back_off_points() {
         let config = OrchestratorConfig { margins: MarginPolicy::Nominal, ..OrchestratorConfig::smoke(2, 5) };
-        let (mut cluster, records, _, _) = deploy_cluster(&config);
+        let (mut cluster, records) = deploy(&config);
         let mut points: Vec<OperatingPoint> = records.iter().map(|r| r.point.clone()).collect();
         let node_parts = vec![None; records.len()];
         let mut queue = EventQueue::new();
@@ -904,7 +913,7 @@ mod tests {
     #[test]
     fn drain_fires_departures_due_in_the_final_window() {
         let config = OrchestratorConfig::smoke(2, 3);
-        let (mut cluster, _, _, _) = deploy_cluster(&config);
+        let (mut cluster, _) = deploy(&config);
         let placed = cluster.submit(VmConfig::idle_guest(), SlaClass::Bronze).expect("placed");
         let mut queue = EventQueue::new();
         // Due strictly after the last tick start (295 s) but within the

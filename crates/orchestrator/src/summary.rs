@@ -234,7 +234,7 @@ pub struct StageBreakdown {
     pub events_ms: f64,
     /// Repair countdowns and rejoin re-characterization passes.
     pub rejoin_ms: f64,
-    /// The whole sharded fleet-tick phase, scatter and reduce included
+    /// The whole sharded fleet-tick phase, parallel phase and reduce included
     /// (a superset of the hypervisor-tick and predictor shard time).
     pub tick_wall_ms: f64,
 }

@@ -7,6 +7,7 @@
 //! ```
 
 use uniserver_cloudmgr::cluster::{Cluster, ClusterConfig};
+use uniserver_cloudmgr::pool::ShardPool;
 use uniserver_cloudmgr::SlaClass;
 use uniserver_edge::latency::{LatencyBudget, PlacementAnalysis};
 use uniserver_hypervisor::vm::VmConfig;
@@ -61,9 +62,10 @@ fn main() {
         .set_refresh_interval(DomainId(1), Seconds::new(10.0))
         .expect("within controller range");
 
+    let pool = ShardPool::new(1);
     for minute in 0..3 {
         for _ in 0..30 {
-            cluster.tick(Seconds::new(2.0));
+            cluster.tick_pooled(Seconds::new(2.0), &pool);
         }
         let m = cluster.fleet_metrics();
         println!(

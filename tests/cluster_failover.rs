@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use uniserver_bench::cluster::summary_to_json;
 use uniserver_cloudmgr::cluster::{Cluster, ClusterConfig};
-use uniserver_cloudmgr::{NodeId, SlaClass};
+use uniserver_cloudmgr::{NodeId, ShardPool, SlaClass};
 use uniserver_hypervisor::vm::VmConfig;
 use uniserver_orchestrator::{
     run, AdmissionPolicy, Campaign, ChaosPlan, FailureLifecycle, OrchestratorConfig,
@@ -165,8 +165,9 @@ fn pinned_three_node_crash_migrate_sequence() {
     assert_eq!(loads, vec![2, 3, 1], "placement spread drifted from the pinned sequence");
 
     // Serve a few ticks, then crash node 0.
+    let pool = ShardPool::new(1);
     for _ in 0..5 {
-        cluster.tick(Seconds::new(1.0));
+        cluster.tick_pooled(Seconds::new(1.0), &pool);
     }
     let recovery = cluster.recover_from_crash(NodeId(0));
     assert_eq!(recovery.migrated.len(), 2, "both guests of node 0 migrate");

@@ -1,6 +1,6 @@
 //! Determinism contract of the sharded serving tick: on a degraded rack
-//! — crash events present — `Cluster::tick_sharded` with any worker
-//! count must match the sequential `Cluster::tick`, report for report,
+//! — crash events present — `Cluster::tick_pooled` with any worker
+//! count must match the one-worker tick, report for report,
 //! metric for metric. Shard boundaries may never leak into energy sums
 //! (index-ordered float reduction), crash-event ordering
 //! (`(node index, event order)`) or predictor scores.
@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 
 use uniserver_cloudmgr::cluster::{Cluster, ClusterConfig};
+use uniserver_cloudmgr::pool::ShardPool;
 use uniserver_cloudmgr::SlaClass;
 use uniserver_hypervisor::vm::VmConfig;
 use uniserver_platform::msr::DomainId;
@@ -54,8 +55,8 @@ proptest! {
         let mut par = degraded_cluster(nodes, seed, vms);
         let mut crash_events = 0usize;
         for tick in 0..60 {
-            let a = seq.tick(Seconds::new(1.0));
-            let b = par.tick_sharded(Seconds::new(1.0), workers);
+            let a = seq.tick_pooled(Seconds::new(1.0), &ShardPool::new(1));
+            let b = par.tick_pooled(Seconds::new(1.0), &ShardPool::new(workers));
             prop_assert_eq!(&a, &b, "tick {} diverged at {} workers", tick, workers);
             crash_events += a.crashes.len();
             // Stop a few ticks after the first crash: the interesting

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use uniserver_cloudmgr::cluster::{Cluster, ClusterConfig};
-use uniserver_cloudmgr::SlaClass;
+use uniserver_cloudmgr::{ShardPool, SlaClass};
 use uniserver_hypervisor::vm::VmConfig;
 use uniserver_platform::msr::DomainId;
 use uniserver_units::Seconds;
@@ -94,8 +94,8 @@ proptest! {
             // Advance: the indexed cluster shards across workers, the
             // linear one ticks sequentially — placement routing and
             // worker count must both be invisible.
-            let ra = indexed.tick_sharded(Seconds::new(2.0), workers);
-            let rb = linear.tick(Seconds::new(2.0));
+            let ra = indexed.tick_pooled(Seconds::new(2.0), &ShardPool::new(workers));
+            let rb = linear.tick_pooled(Seconds::new(2.0), &ShardPool::new(1));
             prop_assert_eq!(&ra, &rb, "tick report diverged at round {}", round);
             // Failure-driven recovery, once per crashed node.
             let mut recovered = Vec::new();

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use uniserver_bench::cluster::summary_to_json;
 use uniserver_cloudmgr::cluster::{Cluster, ClusterConfig};
-use uniserver_cloudmgr::{PolicyKind, SlaClass};
+use uniserver_cloudmgr::{PolicyKind, ShardPool, SlaClass};
 use uniserver_hypervisor::vm::VmConfig;
 use uniserver_orchestrator::{run_timed, OrchestratorConfig};
 use uniserver_platform::msr::DomainId;
@@ -124,8 +124,8 @@ proptest! {
                     "{} power accounting diverged at round {}", kind.label(), round
                 );
 
-                let ra = indexed.tick_sharded(Seconds::new(2.0), workers);
-                let rb = linear.tick(Seconds::new(2.0));
+                let ra = indexed.tick_pooled(Seconds::new(2.0), &ShardPool::new(workers));
+                let rb = linear.tick_pooled(Seconds::new(2.0), &ShardPool::new(1));
                 prop_assert_eq!(&ra, &rb, "{} tick diverged at round {}", kind.label(), round);
                 let mut recovered = Vec::new();
                 for (node, _) in &ra.crashes {

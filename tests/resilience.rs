@@ -139,7 +139,7 @@ fn ce_storm_leads_to_bank_isolation_not_downtime() {
 #[test]
 fn cluster_survives_a_node_death_and_keeps_gold_available() {
     use uniserver_cloudmgr::cluster::{Cluster, ClusterConfig};
-    use uniserver_cloudmgr::SlaClass;
+    use uniserver_cloudmgr::{ShardPool, SlaClass};
 
     let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(3), 31);
     let gold = cluster.submit(VmConfig::ldbc_benchmark(), SlaClass::Gold).expect("placed");
@@ -157,8 +157,9 @@ fn cluster_survives_a_node_death_and_keeps_gold_available() {
         .set_refresh_interval(DomainId(1), Seconds::new(10.0))
         .unwrap();
 
+    let pool = ShardPool::new(1);
     for _ in 0..90 {
-        cluster.tick(Seconds::new(2.0));
+        cluster.tick_pooled(Seconds::new(2.0), &pool);
     }
     let m = cluster.fleet_metrics();
     assert!(m.migrations >= 1, "gold must be proactively migrated");
