@@ -1,4 +1,4 @@
-//! The HealthLog daemon proper: ring buffer, services and thresholds.
+//! The HealthLog daemon proper: retained vectors, services and thresholds.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -48,6 +48,10 @@ impl Default for ThresholdPolicy {
 /// The HealthLog daemon.
 #[derive(Debug, Clone)]
 pub struct HealthLog {
+    /// Retained vectors, oldest first: those inside the policy's rate
+    /// window ending at the latest vector (always including the latest),
+    /// at most `capacity`. Older vectors are exactly the ones
+    /// [`HealthLog::ce_rate_per_minute`] skips, so they are dropped.
     vectors: VecDeque<InfoVector>,
     /// Corrected-error count per retained vector (same order as
     /// `vectors`): the CE-rate service polls this every ingest, and
@@ -56,6 +60,10 @@ pub struct HealthLog {
     corrected_counts: VecDeque<usize>,
     capacity: usize,
     ledger: ErrorLedger,
+    /// The ledger's isolation candidates in [`ErrorLedger::hot_origins`]
+    /// order. The ledger only changes on ingests that record errors, so
+    /// only those recompute it.
+    hot_origins: Vec<LedgerKey>,
     policy: ThresholdPolicy,
     logfile: Vec<String>,
 }
@@ -64,7 +72,9 @@ pub struct HealthLog {
 pub type SharedHealthLog = Arc<Mutex<HealthLog>>;
 
 impl HealthLog {
-    /// Creates a daemon retaining up to `capacity` vectors.
+    /// Creates a daemon retaining the vectors of the policy's rate
+    /// window, at most `capacity` of them. Nothing is reserved up front:
+    /// the window usually holds far fewer vectors than the cap.
     ///
     /// # Panics
     ///
@@ -73,10 +83,11 @@ impl HealthLog {
     pub fn new(capacity: usize, policy: ThresholdPolicy) -> Self {
         assert!(capacity > 0, "HealthLog needs capacity");
         HealthLog {
-            vectors: VecDeque::with_capacity(capacity),
-            corrected_counts: VecDeque::with_capacity(capacity),
+            vectors: VecDeque::new(),
+            corrected_counts: VecDeque::new(),
             capacity,
             ledger: ErrorLedger::new(),
+            hot_origins: Vec::new(),
             policy,
             logfile: Vec::new(),
         }
@@ -88,10 +99,15 @@ impl HealthLog {
         Arc::new(Mutex::new(HealthLog::new(capacity, policy)))
     }
 
-    /// Event-driven service: ingests one platform interval. Every vector
-    /// lands in the ring buffer; event vectors additionally produce a
-    /// logfile line and update the ledger. Returns recommended actions
-    /// (possibly empty).
+    /// Event-driven service: ingests one platform interval. Vectors are
+    /// kept for the rate window, at most `capacity`; event vectors
+    /// additionally produce a logfile line and update the ledger. Returns
+    /// recommended actions (possibly empty).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the report ends before the latest ingested vector: the
+    /// rate window only ever moves forward.
     pub fn ingest(&mut self, report: &IntervalReport) -> Vec<HealthAction> {
         self.ingest_owned(report.clone())
     }
@@ -102,10 +118,30 @@ impl HealthLog {
     /// is done with the report once the HealthLog has it, so the per-
     /// tick clone of (potentially thousands of) error records was pure
     /// overhead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the report ends before the latest ingested vector.
     pub fn ingest_owned(&mut self, report: IntervalReport) -> Vec<HealthAction> {
+        if let Some(latest) = self.vectors.back() {
+            assert!(
+                report.at >= latest.at,
+                "HealthLog ingest went back in time: {} s after {} s",
+                report.at.as_secs(),
+                latest.at.as_secs()
+            );
+        }
         let vector = InfoVector::from_owned_report(report);
-        for err in &vector.errors {
-            self.ledger.record(err);
+        if !vector.errors.is_empty() {
+            for err in &vector.errors {
+                self.ledger.record(err);
+            }
+            self.hot_origins = self
+                .ledger
+                .hot_origins(self.policy.isolate_origin_errors)
+                .into_iter()
+                .map(|(key, _)| key)
+                .collect();
         }
         if vector.is_event() {
             self.logfile.push(vector.render_logline());
@@ -114,8 +150,15 @@ impl HealthLog {
             self.vectors.pop_front();
             self.corrected_counts.pop_front();
         }
+        // `at` never decreases, so a vector outside this window is
+        // outside every later one too.
+        let from = vector.at.saturating_sub(self.policy.rate_window);
         self.corrected_counts.push_back(vector.corrected_count());
         self.vectors.push_back(vector);
+        while self.vectors.len() > 1 && self.vectors.front().is_some_and(|v| v.at <= from) {
+            self.vectors.pop_front();
+            self.corrected_counts.pop_front();
+        }
         self.recommendations()
     }
 
@@ -131,7 +174,7 @@ impl HealthLog {
         self.vectors.back()
     }
 
-    /// On-demand service: vectors within `[from, to)`.
+    /// On-demand service: retained vectors within `[from, to)`.
     #[must_use]
     pub fn query_range(&self, from: Seconds, to: Seconds) -> Vec<&InfoVector> {
         self.vectors.iter().filter(|v| v.at >= from && v.at < to).collect()
@@ -184,9 +227,7 @@ impl HealthLog {
         if self.ce_rate_per_minute() > self.policy.ce_per_minute {
             actions.push(HealthAction::TriggerStressTest);
         }
-        for (key, _) in self.ledger.hot_origins(self.policy.isolate_origin_errors) {
-            actions.push(HealthAction::IsolateResource(key));
-        }
+        actions.extend(self.hot_origins.iter().map(|&key| HealthAction::IsolateResource(key)));
         actions
     }
 }

@@ -12,6 +12,11 @@
 //! * **On-demand**: higher layers (Predictor, Hypervisor) query the
 //!   recent vectors, per-origin error ledgers and error rates.
 //!
+//! Vectors are kept for the rate window, at most `capacity`: the CE-rate
+//! service reads nothing older, so the retained state stays bounded
+//! however long a node serves. The ledger and the text logfile keep the
+//! whole history.
+//!
 //! # Examples
 //!
 //! ```

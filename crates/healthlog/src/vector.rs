@@ -1,7 +1,7 @@
 //! Information vectors: the HealthLog's unit of reporting.
 
 use serde::{Deserialize, Serialize};
-use uniserver_units::{Seconds, Volts, Watts};
+use uniserver_units::{Seconds, Watts};
 
 use uniserver_platform::mca::MceRecord;
 use uniserver_platform::node::IntervalReport;
@@ -11,17 +11,21 @@ use uniserver_silicon::ErrorSeverity;
 
 /// System configuration values captured alongside each vector (the
 /// paper extends existing error reporting "with system configuration
-/// values, sensor readings and performance counters").
+/// values, sensor readings and performance counters"). The per-core
+/// supply voltages are the sensor sweep's.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConfigValues {
-    /// Effective per-core supply voltages at capture time.
-    pub core_voltages: Vec<Volts>,
     /// Mean node power over the captured interval.
     pub node_power: Watts,
 }
 
 /// One information vector: everything the HealthLog knows about one
 /// interval of operation.
+///
+/// A vector built from a served interval
+/// ([`uniserver_platform::node::ServerNode::serve_interval`]) carries no
+/// counters, and carries a sensor sweep only if it is an event: on quiet
+/// served intervals `sensors` is absent and `counters` is empty.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InfoVector {
     /// End-of-interval timestamp.
@@ -30,8 +34,8 @@ pub struct InfoVector {
     pub duration: Seconds,
     /// Configuration values.
     pub config: ConfigValues,
-    /// Sensor sweep.
-    pub sensors: SensorSnapshot,
+    /// Sensor sweep, including the measured per-core voltages.
+    pub sensors: Option<SensorSnapshot>,
     /// Per-core performance-counter increments.
     pub counters: Vec<PmuCounters>,
     /// Error records raised during the interval.
@@ -49,18 +53,13 @@ impl InfoVector {
 
     /// Builds a vector by consuming the report: sensors, counters and
     /// error records move in (no clones — at CE-storm rates the error
-    /// vector alone is thousands of records per interval). Only the
-    /// per-core voltages are copied, because both the configuration
-    /// values and the sensor sweep carry them.
+    /// vector alone is thousands of records per interval).
     #[must_use]
     pub fn from_owned_report(report: IntervalReport) -> Self {
         InfoVector {
             at: report.at,
             duration: report.duration,
-            config: ConfigValues {
-                core_voltages: report.sensors.core_voltages.clone(),
-                node_power: report.power,
-            },
+            config: ConfigValues { node_power: report.power },
             sensors: report.sensors,
             counters: report.pmu_deltas,
             errors: report.errors,
@@ -90,7 +89,9 @@ impl InfoVector {
     /// §3.C): stable, grep-friendly key=value text. Writes into one
     /// buffer (no per-field temporaries — a CE-storm line carries one
     /// `err[...]` tag per record, and this renders on the serving hot
-    /// path every event tick).
+    /// path every event tick). The per-core voltages and the hottest
+    /// core come from the sensor sweep; a vector without one (a quiet
+    /// served interval, which is never logged) renders without them.
     #[must_use]
     pub fn render_logline(&self) -> String {
         use std::fmt::Write as _;
@@ -107,11 +108,13 @@ impl InfoVector {
             self.crashed,
         )
         .expect("writing to a String cannot fail");
-        for (i, v) in self.config.core_voltages.iter().enumerate() {
-            write!(line, " v{}={:.0}mV", i, v.as_millivolts()).expect("infallible");
+        if let Some(sensors) = &self.sensors {
+            for (i, v) in sensors.core_voltages.iter().enumerate() {
+                write!(line, " v{}={:.0}mV", i, v.as_millivolts()).expect("infallible");
+            }
+            write!(line, " tmax={:.1}C", sensors.max_core_temp().as_celsius())
+                .expect("infallible");
         }
-        write!(line, " tmax={:.1}C", self.sensors.max_core_temp().as_celsius())
-            .expect("infallible");
         for e in &self.errors {
             write!(line, " err[{}@{}]", e.severity.label(), e.origin).expect("infallible");
         }
@@ -136,7 +139,7 @@ mod tests {
     fn vector_mirrors_report_shape() {
         let v = vector_from_run();
         assert_eq!(v.counters.len(), 8);
-        assert_eq!(v.config.core_voltages.len(), 8);
+        assert_eq!(v.sensors.as_ref().expect("run_interval samples").core_voltages.len(), 8);
         assert!(!v.crashed);
         assert!((v.at.as_secs() - 1.0).abs() < 1e-9);
     }

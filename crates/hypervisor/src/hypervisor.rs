@@ -351,8 +351,8 @@ impl Hypervisor {
             self.merged_cache = Some(self.merged_workload());
             self.merged_cache_vms.clone_from(&running);
         }
-        let workload = self.merged_cache.clone().expect("cache populated above");
-        let report = self.node.run_interval(&workload, duration);
+        let workload = self.merged_cache.as_ref().expect("cache populated above");
+        let report = self.node.serve_interval(workload, duration);
 
         let mut outcome = TickOutcome {
             at: report.at,
@@ -370,7 +370,7 @@ impl Hypervisor {
         let crashed = report.crash.is_some();
 
         // --- Error masking and containment (`running` still reflects
-        // the start-of-tick set: run_interval cannot change VM states).
+        // the start-of-tick set: serve_interval cannot change VM states).
         for err in &report.errors {
             match err.severity {
                 ErrorSeverity::Corrected => {
@@ -402,8 +402,8 @@ impl Hypervisor {
         }
 
         // --- HealthLog ingest, by value: the containment pass above was
-        // the last reader, so the sensor sweep, PMU deltas and (at CE-
-        // storm rates, thousands of) error records move into the vector
+        // the last reader, so the sensor sweep (event intervals only) and
+        // (at CE-storm rates, thousands of) error records move into the vector
         // instead of being cloned. Ingest ordering relative to the
         // containment pass is immaterial — the HealthLog never touches
         // VM or memory state, and containment never touches the log.
@@ -418,7 +418,7 @@ impl Hypervisor {
                         self.node.isolate_core(c);
                         outcome.isolations += 1;
                     }
-                    LedgerKey::CacheBank(b) => {
+                    LedgerKey::CacheBank(b) if !self.node.cache().is_isolated(b) => {
                         self.node.cache_mut().isolate(b);
                         outcome.isolations += 1;
                     }
@@ -705,6 +705,34 @@ mod tests {
             before.as_watts() < nominal_power.as_watts(),
             "EOP must save power: {before} vs {nominal_power}"
         );
+    }
+
+    #[test]
+    fn an_isolated_cache_bank_is_counted_once() {
+        // Walk the undervolt down into the cache CE window: the noisy
+        // banks cross the isolation threshold and are isolated. Their
+        // ledger totals stay over it, so the HealthLog keeps recommending
+        // them on every later tick; only the first must count.
+        let mut hv = hypervisor();
+        hv.launch_vm(VmConfig::ldbc_benchmark()).unwrap();
+        let nominal_mv = hv.node().part().nominal_voltage.as_millivolts();
+        let mut isolations = 0;
+        let mut offset = 0.04 * nominal_mv;
+        while hv.node().cache().active_banks() == hv.node().cache().bank_count() {
+            assert!(offset < 0.2 * nominal_mv, "no bank reached the isolation threshold");
+            hv.node_mut().msr.set_voltage_offset_all(offset).unwrap();
+            for _ in 0..10 {
+                isolations += hv.tick(Seconds::new(1.0)).isolations;
+            }
+            offset += 0.005 * nominal_mv;
+        }
+        for _ in 0..50 {
+            isolations += hv.tick(Seconds::new(1.0)).isolations;
+        }
+        let node = hv.node();
+        let banks = (0..node.cache().bank_count()).filter(|&b| node.cache().is_isolated(b)).count();
+        let cores = (0..node.core_count()).filter(|&c| node.is_isolated(c)).count();
+        assert_eq!(isolations, (banks + cores) as u64, "one isolation per isolated resource");
     }
 
     #[test]

@@ -81,6 +81,16 @@ impl CacheSubsystem {
         self.banks[bank].isolated = true;
     }
 
+    /// Whether a bank is isolated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bank does not exist.
+    #[must_use]
+    pub fn is_isolated(&self, bank: usize) -> bool {
+        self.banks[bank].isolated
+    }
+
     /// Returns a previously isolated bank to service.
     ///
     /// # Panics

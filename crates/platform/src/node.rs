@@ -7,18 +7,20 @@
 //! drive nodes exclusively through this interface — the same observables
 //! the paper's stack gets from real hardware.
 //!
-//! One interval kernel serves two entry points. [`ServerNode::run_interval`]
+//! One interval kernel serves three entry points. [`ServerNode::run_interval`]
 //! returns the full [`IntervalReport`] (sensor sweep, PMU deltas, power).
-//! [`ServerNode::probe_interval`] returns only a [`Probe`] — whether the
-//! node crashed and how many cache CEs it corrected — which is all a
-//! shmoo ladder reads. Both run the same physics and finish steps. The
-//! probe still consumes the sensor sweep's noise draws, but never
-//! transforms them or builds the snapshot, the PMU deltas or the report.
-//! PMU deltas are a pure function of the workload and the interval, so
-//! skipping them changes nothing. The RNG, the MCA banks, the DIMM
-//! counters, the crash feed and the clock therefore end up exactly where
-//! `run_interval` would leave them, so swapping one call for the other
-//! changes no later draw.
+//! [`ServerNode::serve_interval`] returns the report a serving loop reads:
+//! no PMU deltas, and a sensor sweep only on event intervals (a crash or
+//! at least one MCE record). [`ServerNode::probe_interval`] returns only
+//! a [`Probe`] — whether the node crashed and how many cache CEs it
+//! corrected — which is all a shmoo ladder reads. All three run the same
+//! physics and finish steps. A sweep that is not built still consumes
+//! its noise draws ([`SensorBlock::skip_sample`]), and PMU deltas are a
+//! pure function of the workload and the interval, so skipping them
+//! changes nothing. The RNG, the MCA banks, the DIMM counters, the crash
+//! feed and the clock therefore end up exactly where `run_interval`
+//! would leave them, so swapping one call for another changes no later
+//! draw.
 
 use std::sync::Arc;
 
@@ -67,9 +69,12 @@ pub struct IntervalReport {
     pub crash: Option<CrashEvent>,
     /// Machine-check records raised during the interval.
     pub errors: Vec<MceRecord>,
-    /// Noisy sensor sweep taken at the end of the interval.
-    pub sensors: SensorSnapshot,
-    /// Per-core PMU increments for the interval.
+    /// Noisy sensor sweep taken at the end of the interval. Always
+    /// present from [`ServerNode::run_interval`]; from
+    /// [`ServerNode::serve_interval`] only on event intervals.
+    pub sensors: Option<SensorSnapshot>,
+    /// Per-core PMU increments for the interval (empty from
+    /// [`ServerNode::serve_interval`]).
     pub pmu_deltas: Vec<PmuCounters>,
     /// Mean node power over the interval (cores + DRAM).
     pub power: Watts,
@@ -393,17 +398,32 @@ impl ServerNode {
             })
             .collect();
         let sensors = self.sensors.sample(&self.scratch_powers, &self.scratch_voltages, &mut self.rng);
-        self.finish_interval(physics.crash.as_ref(), &mut errors, duration);
-        IntervalReport {
-            at: self.clock,
-            duration,
-            crash: physics.crash,
-            errors,
-            sensors,
-            pmu_deltas,
-            power: physics.package,
-            energy: physics.package * duration,
-        }
+        self.finish_report(physics, errors, Some(sensors), pmu_deltas, duration)
+    }
+
+    /// Runs one interval exactly like [`ServerNode::run_interval`] but
+    /// builds only what a serving loop reads: no PMU deltas, and the
+    /// sensor sweep only when the interval is an event (a crash or at
+    /// least one MCE record) — the intervals a HealthLog writes a log
+    /// line for. A quiet interval consumes the sweep's noise draws
+    /// ([`SensorBlock::skip_sample`]) and reports `sensors: None`, so a
+    /// node that serves and a clone that runs stay in lockstep, and every
+    /// snapshot that is built equals the one `run_interval` would report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node is crashed (call [`ServerNode::reboot`] first)
+    /// or `duration` is zero.
+    pub fn serve_interval(&mut self, workload: &WorkloadProfile, duration: Seconds) -> IntervalReport {
+        let mut errors = Vec::new();
+        let physics = self.step_physics(workload, duration, &mut errors);
+        let sensors = if physics.crash.is_some() || !errors.is_empty() {
+            Some(self.sensors.sample(&self.scratch_powers, &self.scratch_voltages, &mut self.rng))
+        } else {
+            self.sensors.skip_sample(&self.scratch_powers, &mut self.rng);
+            None
+        };
+        self.finish_report(physics, errors, sensors, Vec::new(), duration)
     }
 
     /// Runs one interval exactly like [`ServerNode::run_interval`] but
@@ -429,7 +449,30 @@ impl ServerNode {
         Probe { crashed: physics.crash.is_some(), cache_ces: physics.cache_ces }
     }
 
-    /// The physics step shared by both interval entry points: core crash
+    /// Finishes the interval and assembles the report around the given
+    /// sweep and PMU deltas.
+    fn finish_report(
+        &mut self,
+        physics: Physics,
+        mut errors: Vec<MceRecord>,
+        sensors: Option<SensorSnapshot>,
+        pmu_deltas: Vec<PmuCounters>,
+        duration: Seconds,
+    ) -> IntervalReport {
+        self.finish_interval(physics.crash.as_ref(), &mut errors, duration);
+        IntervalReport {
+            at: self.clock,
+            duration,
+            crash: physics.crash,
+            errors,
+            sensors,
+            pmu_deltas,
+            power: physics.package,
+            energy: physics.package * duration,
+        }
+    }
+
+    /// The physics step shared by every interval entry point: core crash
     /// draws, cache-bank CEs, per-core power (into the scratch buffers)
     /// and DRAM retention errors. MCE records are appended to `errors`.
     fn step_physics(
@@ -529,7 +572,7 @@ impl ServerNode {
         Physics { crash, cache_ces, package }
     }
 
-    /// The finish step shared by both interval entry points: a crash
+    /// The finish step shared by every interval entry point: a crash
     /// posts a fatal record, halts the node and joins the crash feed;
     /// every record is posted to the MCA banks; the clock advances.
     fn finish_interval(&mut self, crash: Option<&CrashEvent>, errors: &mut Vec<MceRecord>, duration: Seconds) {
@@ -673,7 +716,24 @@ mod tests {
         assert_eq!(r.at, Seconds::new(2.0));
         assert_eq!(r.pmu_deltas.len(), n.core_count());
         assert!((r.energy.as_joules() - r.power.as_watts() * 2.0).abs() < 1e-9);
-        assert_eq!(r.sensors.core_temps.len(), n.core_count());
+        assert_eq!(r.sensors.expect("run_interval always samples").core_temps.len(), n.core_count());
+    }
+
+    #[test]
+    fn quiet_served_intervals_skip_the_sweep_and_the_counters() {
+        let mut served = node();
+        let mut ran = served.clone();
+        let w = WorkloadProfile::spec_bzip2();
+        for _ in 0..10 {
+            let lean = served.serve_interval(&w, Seconds::from_millis(500.0));
+            let full = ran.run_interval(&w, Seconds::from_millis(500.0));
+            assert!(lean.errors.is_empty() && lean.crash.is_none(), "nominal intervals are quiet");
+            assert!(lean.sensors.is_none() && lean.pmu_deltas.is_empty());
+            assert_eq!((lean.at, lean.power, lean.energy), (full.at, full.power, full.energy));
+        }
+        // The skipped sweeps consumed the same draws: both copies agree.
+        let w = WorkloadProfile::spec_mcf();
+        assert_eq!(served.run_interval(&w, Seconds::new(1.0)), ran.run_interval(&w, Seconds::new(1.0)));
     }
 
     #[test]

@@ -54,7 +54,8 @@ impl FeatureVector {
     }
 
     /// Builds the features for *proposing* an operating point given the
-    /// current workload and the latest HealthLog vector.
+    /// current workload and the latest HealthLog vector (45 °C without a
+    /// vector or without a sensor sweep in it).
     #[must_use]
     pub fn for_proposal(
         offset_fraction: f64,
@@ -64,7 +65,8 @@ impl FeatureVector {
         ce_per_minute: f64,
     ) -> Self {
         let temp = latest
-            .map(|v| v.sensors.max_core_temp())
+            .and_then(|v| v.sensors.as_ref())
+            .map(|s| s.max_core_temp())
             .unwrap_or(Celsius::new(45.0));
         Self::from_observables(offset_fraction, workload.stress_scalar(pdn), temp, ce_per_minute)
     }
