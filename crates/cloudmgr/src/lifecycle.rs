@@ -126,10 +126,6 @@ pub struct FailureLifecycle {
     pub mttr_min_ticks: u32,
     /// Longest repair, in ticks (inclusive).
     pub mttr_max_ticks: u32,
-    /// Graceful degradation: when a premium re-offer fails while
-    /// capacity is short, shed one best-effort placement (bronze first)
-    /// so the next re-offer lands in the freed slot.
-    pub shed: bool,
 }
 
 impl FailureLifecycle {
@@ -137,7 +133,7 @@ impl FailureLifecycle {
     /// preserved draw-for-draw).
     #[must_use]
     pub fn disabled() -> Self {
-        FailureLifecycle { enabled: false, mttr_min_ticks: 1, mttr_max_ticks: 1, shed: false }
+        FailureLifecycle { enabled: false, mttr_min_ticks: 1, mttr_max_ticks: 1 }
     }
 
     /// The standard repair policy: crashed nodes go offline for a
@@ -145,7 +141,7 @@ impl FailureLifecycle {
     /// ticks) and load sheds bronze-first under capacity pressure.
     #[must_use]
     pub fn standard() -> Self {
-        FailureLifecycle { enabled: true, mttr_min_ticks: 12, mttr_max_ticks: 96, shed: true }
+        FailureLifecycle { enabled: true, mttr_min_ticks: 12, mttr_max_ticks: 96 }
     }
 
     /// The bounded MTTR for a node crashing at `tick` — a pure function

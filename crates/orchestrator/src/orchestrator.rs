@@ -1,38 +1,51 @@
 //! The cluster-in-the-loop event loop.
 //!
 //! One run: deploy the rack (parallel, per-node EOPs), then walk the
-//! horizon tick by tick —
+//! horizon tick by tick through a fixed list of phases, each a method
+//! on the run state in `serve`:
 //!
-//! 1. fire due events (departures, migration settlements) from the
-//!    deterministic [`EventQueue`];
-//! 2. re-offer queued rejections (gold first) into the capacity those
-//!    departures freed, then draw this tick's VM arrival batch — at the
-//!    rack's capacity-scaled, shape-modulated rate — from its seeded
-//!    sub-stream and offer it to the energy/SLA-aware scheduler;
-//!    rejections either enter the bounded per-class retry queue or are
-//!    counted `abandoned`, per the [`crate::config::AdmissionPolicy`];
-//! 3. advance every node's hypervisor one tick — **sharded across the
-//!    run's workers** (`Cluster::tick_pooled`, the same `ShardPool` that
-//!    deployed the rack), with energy, crash events and predictor scores
-//!    reduced sequentially in node-index order;
-//! 4. for every crashed node (deduplicated: several same-tick crash
-//!    events still recover once), run failure-driven recovery (migrate
-//!    what fits elsewhere, evict the rest). With the failure lifecycle
-//!    disabled the node re-deploys in place at a backed-off operating
-//!    point (firmware cleared its undervolts on reboot); enabled, the
-//!    crash *costs capacity* — the node goes offline for a seeded MTTR
-//!    window (excluded from placement, ticking, energy and the crash
-//!    surface) and rejoins through a re-characterization pass. A
-//!    [`crate::config::OrchestratorConfig::chaos`] plan injects seeded
-//!    fault campaigns — background node crashes, correlated rack/PSU
-//!    failures, cooling-failure ambient steps — on top of the natural
-//!    crash stream, and while capacity is degraded premium re-offers
-//!    shed bronze-first ([`crate::config::OrchestratorConfig`]'s
-//!    lifecycle `shed` knob).
+//! 1. **rejoin** — repairs tick down; a node whose MTTR window closed
+//!    rejoins through a re-characterization pass;
+//! 2. **gray round** — with a gray or power-cap campaign only: gray
+//!    faults expire, new onsets land, and the health watchdog probes
+//!    every degraded node, quarantining, draining and readmitting;
+//! 3. **events** — due departures and migration settlements fire from
+//!    the deterministic [`crate::events::EventQueue`];
+//! 4. **manage** — a consolidating policy parks emptied nodes and
+//!    drains stragglers;
+//! 5. **re-offer** — queued rejections re-offer, gold first, into the
+//!    capacity those departures freed; a premium re-offer that fails
+//!    while nodes are offline sheds bronze-first;
+//! 6. **arrivals** — this tick's VM batch, drawn at the rack's
+//!    capacity-scaled, shape-modulated rate from its seeded
+//!    sub-stream, is offered to the scheduler; rejections enter the
+//!    bounded per-class retry queue or are counted `abandoned`, per the
+//!    [`crate::config::AdmissionPolicy`];
+//! 7. **ambient** — cooling-failure campaigns step the fleet's ambient;
+//! 8. **advance** — every node's hypervisor ticks, **sharded across
+//!    the run's workers** (`Cluster::tick_pooled`, the same
+//!    `ShardPool` that deployed the rack), with energy, crash events
+//!    and predictor scores reduced sequentially in node-index order;
+//! 9. **brownout** — under a power cap, empty nodes park and load sheds
+//!    bronze-first;
+//! 10. **chaos crashes** — a [`crate::config::OrchestratorConfig::chaos`]
+//!     plan injects seeded node, rack/PSU and cooling failures on top
+//!     of the natural crash stream;
+//! 11. **recovery** — once per crashed node (several same-tick crash
+//!     events still recover once): migrate what fits elsewhere, evict
+//!     the rest. With the failure lifecycle disabled the node
+//!     re-deploys in place at a backed-off operating point; enabled,
+//!     the crash *costs capacity* — the node goes offline for a seeded
+//!     MTTR window (excluded from placement, ticking, energy and the
+//!     crash surface);
+//! 12. **accrual** — offline, asleep and degraded dwell accrue and the
+//!     tick's row joins the time series.
 //!
-//! After the loop, events due in the final `(last tick start, horizon]`
-//! window are drained so end-of-horizon departures and settlements are
-//! not dropped from `completed` / `migrations_settled`.
+//! After the loop, **finish** drains events due in the final
+//! `(last tick start, horizon]` window, so end-of-horizon departures
+//! and settlements are not dropped from `completed` /
+//! `migrations_settled`, expires the retry queue, checks the
+//! accounting identities and builds the summary.
 //!
 //! Every random draw derives from `(seed, node index)` or
 //! `(seed, tick index)`, parallel per-node work reduces in node-index
@@ -42,28 +55,12 @@
 //! serve).
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use uniserver_cloudmgr::lifecycle::{GrayState, NodePhase};
-use uniserver_cloudmgr::node::NodeId;
-use uniserver_cloudmgr::pool::{resolve_workers, ShardPool};
-use uniserver_core::eop::OperatingPoint;
-use uniserver_faultinject::chaos::ChaosPlan;
-use uniserver_platform::node::CrashEvent;
-use uniserver_telemetry::{Stage, StageProfiler, Telemetry, TraceEvent};
-use uniserver_units::{Celsius, Seconds, Volts};
-
-use uniserver_cloudmgr::policy::PolicyKind;
+use uniserver_telemetry::{StageProfiler, Telemetry};
 
 use crate::config::{MarginPolicy, OrchestratorConfig};
-use crate::deploy::{deploy_cluster_on, rejoin_node};
-use crate::events::EventQueue;
-use crate::serve::{CrashPolicy, RetryQueue, ServeCounters};
-use crate::summary::{
-    ChaosOutcome, ClusterSummary, GrayOutcome, MarginComparison, OrchestratorTiming, PartUsage,
-    PowerOutcome, StageBreakdown, TickMetrics,
-};
-use crate::watchdog::{probe_fails, Verdict, Watchdog};
+use crate::serve::Run;
+use crate::summary::{ClusterSummary, MarginComparison, OrchestratorTiming};
 
 /// Runs one orchestrated scenario.
 ///
@@ -109,545 +106,24 @@ pub fn run_with_telemetry(
     if let Err(err) = config.stream.validate() {
         panic!("invalid stream: {err}");
     }
-    let ticks = config.ticks();
-    let wall_start = Instant::now();
-    // One worker count for the whole run: the parallel deploy and every
-    // sharded tick split across the same `ShardPool`.
-    let workers = resolve_workers(config.threads, config.cluster.nodes);
-    let pool = ShardPool::new(workers);
-    let (mut cluster, records, deploy_secs, cache) = deploy_cluster_on(config, &pool);
-    // The stage profiler is wall-clock (machine-local): it feeds the
-    // timing report, never the deterministic summary or metrics.
     let profiler = Arc::new(StageProfiler::new());
-    profiler.add_nanos(Stage::Deploy, (deploy_secs * 1e9) as u64);
-    cluster.set_profiler(Arc::clone(&profiler));
-    if tel.metrics.is_some() {
-        cluster.enable_metrics();
+    let mut run = Run::deploy(config, tel, &profiler);
+    for tick in 0..config.ticks() {
+        run.begin_tick(tick);
+        run.rejoin();
+        run.gray_round();
+        run.events();
+        run.manage();
+        run.reoffer();
+        run.arrivals();
+        run.ambient();
+        let mut report = run.advance();
+        run.brownout(&report);
+        run.chaos_crashes(&mut report.crashes);
+        run.recover(&report.crashes);
+        run.accrue(&report);
     }
-    tel.begin_run(config.tick.as_secs());
-    let mut points: Vec<_> = records.iter().map(|r| r.point.clone()).collect();
-    // Part-mix index per node, resolved once for crash attribution.
-    let node_parts: Vec<Option<usize>> = records
-        .iter()
-        .map(|r| config.cluster.part_mix.iter().position(|p| p.spec.name == r.part))
-        .collect();
-
-    let serve_start = Instant::now();
-    let dt = config.tick;
-    let mut queue = EventQueue::new();
-    let mut per_tick = Vec::with_capacity(ticks as usize);
-    let mut c = ServeCounters::new(config.cluster.part_mix.len());
-    let mut retry = RetryQueue::new(config.admission);
-    let crash_policy = CrashPolicy {
-        margins: config.margins,
-        backoff: config.crash_backoff,
-        lifecycle: config.lifecycle,
-        seed: config.seed,
-    };
-    // The cooling-failure ambient step currently programmed into the
-    // fleet (0 = the deploy-time baseline).
-    let mut ambient_applied = 0.0f64;
-    // Gray failures and the watchdog only engage when the plan carries
-    // a gray or power-cap campaign — every other profile must not even
-    // touch the new code paths, so their summaries stay byte-identical.
-    let gray_active = config.chaos.as_ref().is_some_and(ChaosPlan::has_gray);
-    let mut watchdog = Watchdog::new(config.watchdog);
-
-    for tick in 0..ticks {
-        let now = Seconds::new(tick as f64 * dt.as_secs());
-        // The final tick of a non-dividing horizon is clamped so the
-        // run never simulates past `horizon` (the summary's
-        // `horizon_secs` must mean what it says).
-        let step = Seconds::new(dt.as_secs().min(config.horizon.as_secs() - now.as_secs()));
-        let mut t_offered = 0u64;
-        let mut t_placed = 0u64;
-        let mut t_migrations = 0u64;
-        tel.begin_tick(tick, now.as_secs());
-
-        // --- 0. Repairs tick down; nodes whose MTTR window just closed
-        // rejoin through a re-characterization pass — extended racks
-        // re-shmoo the silicon *as it is now* (aged, at its live
-        // ambient) instead of applying a geometric backoff.
-        {
-            let _span = profiler.scoped(Stage::Rejoin);
-            for id in cluster.tick_repairs() {
-                let idx = id.0 as usize;
-                points[idx] =
-                    rejoin_node(config, &cache, idx, cluster.nodes_mut()[idx].hypervisor.node_mut());
-                cluster.complete_rejoin(id);
-                c.rejoins += 1;
-                tel.inc("rejoins");
-                tel.emit(&TraceEvent::Rejoin { node: u64::from(id.0) });
-            }
-        }
-
-        // --- 0b. Gray failures: expired faults clear, new onsets land,
-        // and the watchdog probes every degraded node — quarantining,
-        // draining and readmitting on its K-of-N hysteresis. Sequential
-        // in node-index order (the watch map iterates ascending), so
-        // worker count can never reorder a probe draw.
-        if gray_active {
-            let _span = profiler.scoped(Stage::Recovery);
-            // (i) Faults expire on their own clock — but only while the
-            // node is *not* quarantined: once the watchdog distrusts a
-            // node, only a full probation run brings it back, however
-            // long the underlying fault has been gone (flap-proofing).
-            for idx in 0..config.cluster.nodes {
-                let Some(gray) = cluster.nodes()[idx].gray() else { continue };
-                if !gray.quarantined && tick >= gray.clears_at_tick {
-                    cluster.clear_degraded(NodeId(idx as u32));
-                    watchdog.forget(idx as u32);
-                }
-            }
-            // (ii) New onsets from the seeded campaign. Only healthy
-            // online awake nodes degrade; offline, rejoining, asleep or
-            // already-degraded nodes skip their draw.
-            if let Some(plan) = &config.chaos {
-                #[allow(clippy::cast_possible_truncation)]
-                let fleet_width = config.cluster.nodes as u32;
-                for onset in plan.gray_onsets_at(config.seed, tick, step.as_secs(), fleet_width) {
-                    let idx = onset.node as usize;
-                    let node = &cluster.nodes()[idx];
-                    if node.phase() != NodePhase::Online || node.is_asleep() {
-                        continue;
-                    }
-                    cluster.mark_degraded(
-                        NodeId(onset.node),
-                        GrayState {
-                            capacity_cap: onset.capacity_cap,
-                            ce_multiplier: onset.ce_multiplier,
-                            clears_at_tick: tick + onset.duration_ticks,
-                            quarantined: false,
-                        },
-                    );
-                    if config.watchdog.enabled {
-                        watchdog.begin_watch(onset.node);
-                    }
-                    c.gray_onsets += 1;
-                    tel.inc("gray_onsets");
-                    tel.emit(&TraceEvent::GrayOnset {
-                        node: u64::from(onset.node),
-                        duration_ticks: onset.duration_ticks,
-                    });
-                }
-            }
-            // (iii) The watchdog's probe round over everything under
-            // watch. A watch whose node left the degraded phase by
-            // another path (it crashed outright) is dropped — the
-            // failure lifecycle owns it now.
-            for node in watchdog.watched() {
-                let idx = node as usize;
-                if !cluster.nodes()[idx].is_degraded() {
-                    watchdog.forget(node);
-                    continue;
-                }
-                let gray = cluster.nodes()[idx].gray().expect("degraded nodes carry gray state");
-                let p = if tick < gray.clears_at_tick {
-                    config.watchdog.probe_fail_degraded
-                } else {
-                    config.watchdog.probe_fail_healthy
-                };
-                let failed = probe_fails(config.seed, node, tick, p);
-                if failed {
-                    c.probe_failures += 1;
-                    tel.inc("probe_failures");
-                }
-                match watchdog.observe(node, failed) {
-                    Verdict::Quarantine => {
-                        cluster.set_quarantined(NodeId(node), true);
-                        // A quarantined extended-margin node backs its
-                        // EOP off to nominal: while it is suspect it
-                        // stops trading crash margin for energy.
-                        if config.margins == MarginPolicy::Extended {
-                            let server = cluster.nodes_mut()[idx].hypervisor.node_mut();
-                            let nominal = OperatingPoint::nominal(server.part().cores);
-                            nominal.apply_to(server);
-                            points[idx] = nominal;
-                        }
-                        c.quarantines += 1;
-                        tel.inc("quarantines");
-                        tel.emit(&TraceEvent::Quarantine { node: u64::from(node) });
-                    }
-                    Verdict::Readmit => {
-                        cluster.set_quarantined(NodeId(node), false);
-                        cluster.clear_degraded(NodeId(node));
-                        watchdog.forget(node);
-                        // Readmission re-characterizes like a repair
-                        // rejoin: the silicon is re-shmooed as it is
-                        // now, not restored from a stale point.
-                        points[idx] = rejoin_node(
-                            config,
-                            &cache,
-                            idx,
-                            cluster.nodes_mut()[idx].hypervisor.node_mut(),
-                        );
-                        c.readmissions += 1;
-                        tel.inc("readmissions");
-                        tel.emit(&TraceEvent::Readmit { node: u64::from(node) });
-                    }
-                    Verdict::None => {}
-                }
-                // Quarantined nodes drain on the per-tick budget: gold
-                // first, pre-copy, never evicting — a bite per tick
-                // until the node is empty.
-                if watchdog.in_quarantine(node) {
-                    t_migrations +=
-                        cluster.drain_degraded(NodeId(node), config.watchdog.drain_budget);
-                }
-            }
-        }
-
-        // --- 1. Due events, earliest first.
-        let t_completed = {
-            let _span = profiler.scoped(Stage::Events);
-            c.drain_due(&mut queue, &mut cluster, now)
-        };
-        tel.add("completed", t_completed);
-
-        // --- 1b. Power management: a consolidating policy parks nodes
-        // the departures just emptied and drains near-empty stragglers
-        // onto the packed end of the rack. A no-op (and free) for
-        // non-managing policies.
-        {
-            let _span = profiler.scoped(Stage::Placement);
-            cluster.manage(tick, config.seed);
-        }
-
-        // --- 2a. Queued rejections re-offer first, gold before silver,
-        // into whatever capacity the departures just freed. (Empty —
-        // and free — under the default drop-all admission policy.)
-        {
-            let _span = profiler.scoped(Stage::RetryQueue);
-            t_placed += c.reoffer_pending(
-                &mut retry,
-                &mut cluster,
-                &mut queue,
-                now,
-                tick,
-                config.lifecycle.shed,
-                tel,
-            );
-        }
-
-        // --- 2b. This tick's arrival batch, from its own sub-stream,
-        // drawn at the rack's capacity-scaled rate.
-        {
-            let _span = profiler.scoped(Stage::Placement);
-            for arrival in
-                config.stream.tick_arrivals_scaled(config.seed, tick, step, config.cluster.nodes)
-            {
-                t_offered += 1;
-                if c.admit(&mut retry, &mut cluster, &mut queue, arrival, now, tick, tel) {
-                    t_placed += 1;
-                }
-            }
-        }
-
-        // --- 2c. Cooling-failure campaigns step the whole fleet's
-        // ambient above the deploy-time baseline while they are in
-        // force (offline nodes included — the hot aisle does not care).
-        if let Some(plan) = &config.chaos {
-            let delta = plan.ambient_delta_at(tick);
-            if delta != ambient_applied {
-                for (managed, rec) in cluster.nodes_mut().iter_mut().zip(&records) {
-                    managed
-                        .hypervisor
-                        .node_mut()
-                        .set_ambient(rec.ambient + Celsius::new(delta));
-                }
-                ambient_applied = delta;
-            }
-        }
-
-        // --- 3. Advance the fleet, sharded across the run's pool.
-        // Offline nodes are skipped wholesale: no energy, no load, no
-        // crash surface while they repair.
-        let mut report = {
-            let _span = profiler.scoped(Stage::Tick);
-            cluster.tick_pooled(step, &pool)
-        };
-        c.energy_j += report.energy.as_joules();
-        t_migrations += report.proactive_migrations;
-        tel.add("proactive_migrations", report.proactive_migrations);
-        let tick_end = now + step;
-
-        // A proactive move whose relaunch failed lost the VM: that is
-        // an eviction whatever the class promised.
-        for lost in &report.evicted {
-            c.charge_eviction(lost, tel);
-        }
-
-        // --- 3a. Brownout: while a power-cap campaign is in force the
-        // fleet's actual draw this tick is compared with the cap, the
-        // shortfall is charged to the deficit meter, and the fleet
-        // gracefully degrades — empty nodes park (power-managing
-        // policies only; the reference policy never re-wakes parked
-        // nodes) and load sheds bronze-first, with every shed charged
-        // as the SLA violation it is.
-        if let Some(plan) = &config.chaos {
-            if let Some(cap_watts) = plan.power_cap_at(tick) {
-                let draw_watts = report.energy.as_joules() / step.as_secs();
-                if draw_watts > cap_watts {
-                    let deficit = draw_watts - cap_watts;
-                    c.powercap_deficit_watt_secs += deficit * step.as_secs();
-                    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                    tel.record("powercap_deficit_watts", deficit.max(0.0).round() as u64);
-                    if cluster.policy().manages() {
-                        let mut occupied = vec![false; config.cluster.nodes];
-                        for p in cluster.placements() {
-                            occupied[p.node.0 as usize] = true;
-                        }
-                        for (idx, taken) in occupied.iter().enumerate() {
-                            let n = &cluster.nodes()[idx];
-                            if !taken && n.is_online() && !n.is_asleep() && !n.is_degraded() {
-                                #[allow(clippy::cast_possible_truncation)]
-                                cluster.park_node(NodeId(idx as u32));
-                            }
-                        }
-                    }
-                    let live = cluster.placements().len();
-                    if live > 0 {
-                        // Proportional control: assume the deficit
-                        // scales with live placements and shed just
-                        // enough, bounded per tick so one bad estimate
-                        // cannot hollow the fleet out.
-                        let per_vm = draw_watts / live as f64;
-                        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                        let needed = (deficit / per_vm).ceil().max(1.0) as usize;
-                        c.shed_for_powercap(&mut cluster, needed.min(32), tel);
-                    }
-                }
-            }
-        }
-
-        // --- 3b. Chaos-plan crash injection: seeded fault campaigns
-        // surface synthetic power-loss events (voltage 0) alongside the
-        // tick's natural crashes. Already-offline nodes cannot crash
-        // again.
-        if let Some(plan) = &config.chaos {
-            #[allow(clippy::cast_possible_truncation)]
-            let fleet_width = config.cluster.nodes as u32;
-            for idx in plan.crash_indices_at(config.seed, tick, step.as_secs(), fleet_width) {
-                if !cluster.nodes()[idx as usize].is_online() {
-                    continue;
-                }
-                report.crashes.push((
-                    NodeId(idx),
-                    CrashEvent {
-                        core: 0,
-                        at: tick_end,
-                        voltage: Volts::new(0.0),
-                        workload: Arc::from("chaos"),
-                    },
-                ));
-                c.injected_crashes += 1;
-                tel.inc("injected_crashes");
-            }
-        }
-
-        // --- 4. Failure-driven recovery, once per crashed node. Under
-        // the lifecycle, recovery evacuates the node and takes it
-        // offline for its seeded MTTR window.
-        {
-            let _span = profiler.scoped(Stage::Recovery);
-            t_migrations += c.recover_crashes(
-                &mut cluster,
-                &mut queue,
-                &mut points,
-                &node_parts,
-                &report.crashes,
-                tick_end,
-                tick,
-                &crash_policy,
-                tel,
-            );
-        }
-
-        // --- 5. Downtime accrual: every tick a node spends offline is
-        // real lost capacity (a freshly-crashed node's window starts
-        // this tick; a rejoining node stopped counting at tick start).
-        let offline = cluster.offline_count();
-        c.downtime_secs += step.as_secs() * offline as f64;
-        c.peak_offline = c.peak_offline.max(offline as u64);
-        if cluster.policy().manages() {
-            let asleep = cluster.asleep_count();
-            c.asleep_node_secs += step.as_secs() * asleep as f64;
-            c.peak_asleep = c.peak_asleep.max(asleep as u64);
-            tel.observe("nodes_asleep", asleep as u64);
-        }
-        if gray_active {
-            let degraded = cluster.degraded_count();
-            c.degraded_node_secs += step.as_secs() * degraded as f64;
-            c.peak_degraded = c.peak_degraded.max(degraded as u64);
-            tel.observe("degraded_nodes", degraded as u64);
-        }
-        tel.observe("live_placements", cluster.placements().len() as u64);
-        tel.observe("offline_nodes", offline as u64);
-        tel.observe("retry_queue_depth", retry.pending_len() as u64);
-
-        per_tick.push(TickMetrics {
-            tick,
-            offered: t_offered,
-            placed: t_placed,
-            completed: t_completed,
-            live: cluster.placements().len() as u64,
-            crashes: report.crashes.len() as u64,
-            migrations: t_migrations,
-            energy_j: report.energy.as_joules(),
-        });
-    }
-
-    // --- End-of-horizon drain: departures and settlements due in the
-    // final `(last tick start, horizon]` window must still fire, or
-    // `completed` / `migrations_settled` undercount what the horizon
-    // actually served. (These fall outside the per-tick series.)
-    tel.begin_tick(ticks, config.horizon.as_secs());
-    let final_completed =
-        c.drain_due(&mut queue, &mut cluster, Seconds::new(config.horizon.as_secs()));
-    tel.add("completed", final_completed);
-    // Whatever is still waiting for re-admission when the horizon ends
-    // was never served: count it abandoned so admission ties out too.
-    c.flush_pending(&mut retry, ticks, tel);
-    // Shard-accumulated metrics (node ticks, predictor rescores, crash
-    // histograms) merge into the run's registry in node-index order.
-    if let Some(shard_metrics) = cluster.take_metrics() {
-        if let Some(m) = &mut tel.metrics {
-            m.merge(&shard_metrics);
-        }
-    }
-    if cluster.policy().manages() {
-        let power = cluster.power_stats();
-        tel.add("wake_transitions", power.wakes);
-        tel.add("consolidation_migrations", power.consolidation_migrations);
-    }
-    // Checked in release builds too: once per run, so free in any timing.
-    assert_eq!(
-        c.placed,
-        c.completed + c.evicted + cluster.placements().len() as u64,
-        "lifecycle accounting must tie out"
-    );
-    assert_eq!(
-        c.offered,
-        c.placed + c.abandoned,
-        "admission accounting must tie out: every offer is placed or abandoned"
-    );
-
-    let fleet = cluster.fleet_metrics();
-    let mut min_availability = f64::MAX;
-    for node in cluster.nodes() {
-        min_availability = min_availability.min(node.metrics().availability);
-    }
-    let per_part: Vec<PartUsage> = config
-        .cluster
-        .part_mix
-        .iter()
-        .enumerate()
-        .map(|(p, part)| {
-            let members: Vec<_> =
-                records.iter().filter(|r| r.part == part.spec.name).collect();
-            PartUsage {
-                part: part.spec.name.clone(),
-                nodes: members.len(),
-                crashes: c.part_crashes[p],
-                min_offset_mv_mean: if members.is_empty() {
-                    0.0
-                } else {
-                    members.iter().map(|r| r.point.min_offset_mv()).sum::<f64>()
-                        / members.len() as f64
-                },
-            }
-        })
-        .filter(|u| u.nodes > 0)
-        .collect();
-
-    let summary = ClusterSummary {
-        nodes: config.cluster.nodes,
-        seed: config.seed,
-        margins: config.margins.label().to_string(),
-        horizon_secs: config.horizon.as_secs(),
-        tick_secs: dt.as_secs(),
-        ticks,
-        offered: c.offered,
-        placed: c.placed,
-        rejected: c.rejected,
-        retried: c.retried,
-        abandoned: c.abandoned,
-        expired_at_horizon: c.expired_at_horizon,
-        completed: c.completed,
-        evicted: c.evicted,
-        live_at_end: cluster.placements().len() as u64,
-        crashes: c.crashes,
-        crash_migrations: c.crash_migrations,
-        migrations_settled: c.settled,
-        proactive_migrations: fleet.migrations,
-        sla_violations: c.sla_violations,
-        migration_downtime_secs: fleet.migration_downtime.as_secs(),
-        energy_j: c.energy_j,
-        mean_availability: fleet.mean_availability,
-        min_availability,
-        mean_utilization: fleet.mean_utilization,
-        min_offset_mv_mean: records.iter().map(|r| r.point.min_offset_mv()).sum::<f64>()
-            / records.len() as f64,
-        per_class: c.per_class,
-        per_part,
-        per_tick,
-        chaos: (config.lifecycle.enabled || config.chaos.is_some()).then(|| {
-            let node_secs = config.cluster.nodes as f64 * config.horizon.as_secs();
-            ChaosOutcome {
-                injected_crashes: c.injected_crashes,
-                nodes_offlined: c.nodes_offlined,
-                rejoins: c.rejoins,
-                peak_offline: c.peak_offline,
-                downtime_secs: c.downtime_secs,
-                lost_capacity_node_hours: c.downtime_secs / 3600.0,
-                availability: 1.0 - c.downtime_secs / node_secs,
-                shed: c.shed,
-            }
-        }),
-        policy: (config.policy != PolicyKind::EnergySla)
-            .then(|| config.policy.label().to_string()),
-        power: cluster.policy().manages().then(|| {
-            let stats = cluster.power_stats();
-            PowerOutcome {
-                parks: stats.parks,
-                wakes: stats.wakes,
-                consolidation_migrations: stats.consolidation_migrations,
-                asleep_node_secs: c.asleep_node_secs,
-                peak_asleep: c.peak_asleep,
-            }
-        }),
-        gray: gray_active.then(|| GrayOutcome {
-            gray_onsets: c.gray_onsets,
-            probe_failures: c.probe_failures,
-            quarantines: c.quarantines,
-            readmissions: c.readmissions,
-            degraded_node_secs: c.degraded_node_secs,
-            degraded_node_hours: c.degraded_node_secs / 3600.0,
-            peak_degraded: c.peak_degraded,
-            powercap_deficit_watt_secs: c.powercap_deficit_watt_secs,
-            powercap_sheds: c.powercap_sheds,
-        }),
-    };
-    let timing = OrchestratorTiming {
-        wall_ms: wall_start.elapsed().as_secs_f64() * 1e3,
-        deploy_ms: deploy_secs * 1e3,
-        serve_ms: serve_start.elapsed().as_secs_f64() * 1e3,
-        nodes: config.cluster.nodes,
-        arrivals: c.offered,
-        workers,
-        cores: uniserver_cloudmgr::pool::cores(),
-        stages: StageBreakdown {
-            placement_ms: profiler.ms(Stage::Placement),
-            predictor_ms: profiler.ms(Stage::Predictor),
-            hypervisor_tick_ms: profiler.ms(Stage::NodeTick),
-            retry_ms: profiler.ms(Stage::RetryQueue),
-            recovery_ms: profiler.ms(Stage::Recovery),
-            events_ms: profiler.ms(Stage::Events),
-            rejoin_ms: profiler.ms(Stage::Rejoin),
-            tick_wall_ms: profiler.ms(Stage::Tick),
-        },
-    };
-    (summary, timing)
+    run.finish()
 }
 
 /// Runs the same scenario at extended and nominal margins off one seed —
@@ -669,6 +145,7 @@ mod tests {
     use super::*;
 
     use uniserver_cloudmgr::stream::VmStream;
+    use uniserver_units::Seconds;
 
     use crate::config::AdmissionPolicy;
 

@@ -31,7 +31,7 @@ pub struct ClassStats {
 }
 
 /// One tick's fleet metrics — the summary's time series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct TickMetrics {
     /// Tick index.
     pub tick: u64,
@@ -45,7 +45,11 @@ pub struct TickMetrics {
     pub live: u64,
     /// Node crashes observed this tick.
     pub crashes: u64,
-    /// Migrations (proactive + failure-driven) this tick.
+    /// Migrations this tick: crash-recovery moves off crashed nodes,
+    /// prediction-driven proactive moves, and watchdog drain moves off
+    /// quarantined nodes. Consolidation drains by a power-managing
+    /// policy are not counted here (see
+    /// [`PowerOutcome::consolidation_migrations`]).
     pub migrations: u64,
     /// Fleet energy consumed this tick, in joules.
     pub energy_j: f64,
@@ -54,7 +58,7 @@ pub struct TickMetrics {
 /// What the failure lifecycle and the chaos engine did to one run —
 /// present only when either is active, so legacy summaries stay
 /// byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct ChaosOutcome {
     /// Synthetic crash events injected by the chaos plan (natural
     /// crashes are counted in the summary's `crashes` alongside them).
@@ -81,7 +85,7 @@ pub struct ChaosOutcome {
 /// What a power-managing placement policy did to one run — `Some` only
 /// when the active policy manages node power (consolidation), so
 /// reference summaries stay byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PowerOutcome {
     /// Times a drained node was parked into the sleep state.
     pub parks: u64,
@@ -99,7 +103,7 @@ pub struct PowerOutcome {
 /// What the gray-failure campaign and the health watchdog did to one
 /// run — `Some` only when the chaos plan carries a gray or power-cap
 /// campaign, so every other summary stays byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct GrayOutcome {
     /// Gray-failure onsets injected (nodes that silently degraded).
     pub gray_onsets: u64,
