@@ -176,9 +176,9 @@ pub(crate) struct Run<'a> {
     queue: EventQueue,
     retry: RetryQueue,
     watchdog: Watchdog,
-    /// Scenario gates, decided once at deploy. Each also decides
-    /// whether its outcome block appears in the summary. `chaos_on`:
-    /// the failure lifecycle or a chaos plan is active.
+    // Scenario gates, each decided once at deploy; each also decides
+    // whether its outcome block appears in the summary.
+    /// The failure lifecycle or a chaos plan is active.
     chaos_on: bool,
     /// The placement policy manages node power (parks and wakes).
     manages: bool,

@@ -25,8 +25,9 @@ pub struct ClassStats {
     /// (never got a final verdict), as opposed to budget-exhausted or
     /// queue-overflow drops.
     pub expired_at_horizon: u64,
-    /// Placements of this class shed (stopped early, bronze first) to
-    /// free capacity for premium re-offers while nodes were offline.
+    /// Placements of this class shed (stopped early, bronze first): to
+    /// free capacity for premium re-offers while nodes were offline, or
+    /// to get back under a brownout power cap.
     pub shed: u64,
 }
 
@@ -77,8 +78,10 @@ pub struct ChaosOutcome {
     pub lost_capacity_node_hours: f64,
     /// Capacity availability: `1 − downtime / (nodes × horizon)`.
     pub availability: f64,
-    /// Placements shed (bronze first) to free capacity for premium
-    /// re-offers while nodes were offline.
+    /// Placements shed (bronze first): to free capacity for premium
+    /// re-offers while nodes were offline, or to get back under a
+    /// brownout power cap (those also count in
+    /// [`GrayOutcome::powercap_sheds`]).
     pub shed: u64,
 }
 
